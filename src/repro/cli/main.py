@@ -1005,9 +1005,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.app import DEFAULT_ENGINE_WORKERS, run_server
 
-    # The service owns its warm tier directly (the global --cache-dir is
-    # reused as its ResultCache directory); --workers still installs the
-    # ambient plan around it, so large per-request sweeps shard as usual.
+    # The service's warm tier is the only ResultCache on the global
+    # --cache-dir: the ambient plan _dispatch_planned installs for serve
+    # carries --workers only (large per-request sweeps still shard), so
+    # each fresh result is written to disk exactly once.
     return run_server(
         host=args.host,
         port=args.port,
@@ -1073,10 +1074,16 @@ def _dispatch_planned(args: argparse.Namespace) -> int:
     additionally activate a :class:`~repro.core.planner.PlannerConfig`,
     putting strategy selection (and block streaming) under the
     calibrated cost model.
+
+    ``serve`` is the exception for ``--cache-dir``: the service opens
+    that directory as its own warm tier, so its ambient plan carries
+    ``--workers`` only and the planner neither probes nor writes a second
+    cache on the same files.
     """
     import contextlib
 
-    wants_plan = args.workers != 1 or args.cache_dir is not None
+    cache_dir = None if args.command == "serve" else args.cache_dir
+    wants_plan = args.workers != 1 or cache_dir is not None
     wants_planner = args.plan is not None or args.max_block_bytes is not None
     if not wants_plan and not wants_planner:
         return _dispatch_resilient(args)
@@ -1085,7 +1092,7 @@ def _dispatch_planned(args: argparse.Namespace) -> int:
             from repro.core.parallel import parallel_plan
 
             stack.enter_context(
-                parallel_plan(workers=args.workers, cache_dir=args.cache_dir)
+                parallel_plan(workers=args.workers, cache_dir=cache_dir)
             )
         if wants_planner:
             from repro.core.planner import planner_config

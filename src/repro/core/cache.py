@@ -16,13 +16,22 @@ keyed by a **content fingerprint** of everything the result depends on:
 
 Change *any* of those and the fingerprint changes, so a stale entry is
 simply never addressed again — there is no TTL and no mtime heuristic.
-Entries are ``.npz`` files written with the same atomic-write idiom as
-:mod:`repro.resilience.checkpoint` (temp file + :func:`os.replace`), so
-concurrent writers race benignly: the last complete rename wins and every
-reader always sees a complete file.  Each entry embeds its full identity
-document; a digest collision or a foreign/torn file is detected by
-comparing that document and rejected as a miss instead of returning wrong
-results.
+Each entry is one flat ``<digest>.eval`` file, read with a single
+``read_bytes`` and mapped zero-copy onto read-only arrays::
+
+    MAGIC (8 bytes) | u64 header length | JSON header | arrays
+
+The UTF-8 JSON header holds the identity document, ``class_name``, ``n``
+and each field's dtype and data offset; it is space-padded so the data,
+and every array in it, starts 64-byte aligned.  The 17
+:data:`ARRAY_FIELDS` follow back to back (each padded to 64 bytes).
+Files are written with the shared atomic-write helper of
+:mod:`repro.resilience.checkpoint` (a per-thread temp file +
+:func:`os.replace`), so concurrent writers race benignly: the last
+complete rename wins and every reader always sees a complete file.  The
+embedded identity is compared on every read; a digest collision or a
+foreign, torn, truncated or old-format file is rejected as a miss
+instead of returning wrong results.
 
 Cache hits, misses, writes and rejections are mirrored into the
 observability layer (``cache.disk.*`` counters) whenever metrics are
@@ -38,26 +47,41 @@ stage outputs through this surface — see ``docs/PIPELINE.md``.
 
 from __future__ import annotations
 
-import io
 import json
-import os
 import pathlib
-import zipfile
+import struct
 from typing import Any
 
 import numpy as np
 
 from repro import obs
 from repro.core.vectorized import VectorizedEvaluation, model_fingerprint
-from repro.resilience.checkpoint import fingerprint
+from repro.resilience.checkpoint import (
+    atomic_write_bytes,
+    atomic_write_text,
+    fingerprint,
+)
 
 #: On-disk format version; bump on any change to the entry layout.  The
 #: version participates in the fingerprint, so old entries are orphaned
-#: (and reported stale on direct lookup) rather than misread.
-FORMAT_VERSION = 1
+#: (and reported stale on direct lookup) rather than misread.  Version 1
+#: stored ``.npz`` archives, which :meth:`ResultCache.clear` sweeps.
+FORMAT_VERSION = 2
 
-#: Marker distinguishing repro cache entries from arbitrary npz files.
+#: Marker distinguishing repro cache entries in their identity documents.
 KIND = "repro_result_cache"
+
+#: File suffix of an evaluation entry.
+SUFFIX = ".eval"
+
+#: First bytes of every evaluation entry file.
+MAGIC = b"REPROEVL"
+
+#: Byte alignment of the data section and of every array in it.
+ALIGN = 64
+
+_HEADER_LENGTH = struct.Struct("<Q")
+_PREAMBLE = len(MAGIC) + _HEADER_LENGTH.size
 
 #: The VectorizedEvaluation arrays persisted per entry, in storage order.
 ARRAY_FIELDS = (
@@ -124,17 +148,87 @@ def entry_identity(
     }
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _aligned(offset: int) -> int:
+    return -(-offset // ALIGN) * ALIGN
+
+
+def _encode_entry(
+    identity: dict[str, Any], result: VectorizedEvaluation
+) -> bytes:
+    """The entry file bytes for ``result`` under ``identity``."""
+    n = len(result)
+    arrays = []
+    fields = []
+    offset = 0
+    for name in ARRAY_FIELDS:
+        a = np.ascontiguousarray(getattr(result, name))
+        offset = _aligned(offset)
+        fields.append([name, a.dtype.str, offset])
+        arrays.append((offset, a))
+        offset += a.nbytes
+    header = json.dumps(
+        {
+            "identity": identity,
+            "class_name": result.class_name,
+            "n": n,
+            "fields": fields,
+        },
+        sort_keys=True,
+    ).encode("utf-8")
+    header = header.ljust(_aligned(_PREAMBLE + len(header)) - _PREAMBLE)
+    data = bytearray(offset)
+    for start, a in arrays:
+        data[start : start + a.nbytes] = a.tobytes()
+    return b"".join((MAGIC, _HEADER_LENGTH.pack(len(header)), header, data))
+
+
+def _decode_entry(
+    blob: bytes, identity: dict[str, Any]
+) -> VectorizedEvaluation:
+    """Map an entry file's bytes onto read-only arrays.
+
+    Raises :class:`ValueError` (or :class:`KeyError`/:class:`TypeError`
+    on a malformed header) unless ``blob`` is a complete, well-formed
+    entry for exactly ``identity``: wrong magic, a header running past
+    the end, a size other than the header describes (truncated or
+    trailing bytes) and a different embedded identity are all refused.
+    """
+    if blob[: len(MAGIC)] != MAGIC:
+        raise ValueError("not a repro cache entry")
+    (header_length,) = _HEADER_LENGTH.unpack_from(blob, len(MAGIC))
+    data_start = _PREAMBLE + header_length
+    if data_start > len(blob):
+        raise ValueError("header runs past the end of the file")
+    meta = json.loads(blob[_PREAMBLE:data_start])
+    if meta["identity"] != identity:
+        raise ValueError("identity mismatch")
+    n = meta["n"]
+    fields = meta["fields"]
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"bad entry length {n!r}")
+    if [f[0] for f in fields] != list(ARRAY_FIELDS):
+        raise ValueError("unexpected fields")
+    arrays = {}
+    end = data_start
+    for name, dtype_str, offset in fields:
+        dtype = np.dtype(dtype_str)  # frombuffer refuses object dtypes
+        start = data_start + offset
+        arrays[name] = np.frombuffer(blob, dtype, count=n, offset=start)
+        end = max(end, start + n * dtype.itemsize)
+    if end != len(blob):
+        raise ValueError("entry size does not match its header")
+    return VectorizedEvaluation(
+        class_name=str(meta["class_name"]), space=None, **arrays
+    )
 
 
 class ResultCache:
     """A directory of fingerprinted configuration-space evaluations.
 
-    One ``.npz`` file per entry, named ``<digest>.npz``.  Lookups verify
-    the embedded identity document, so a wrong or torn file degrades to a
-    miss (and is counted as ``rejected``), never to wrong results.
+    One flat file per entry, named ``<digest>.eval`` (layout in the
+    module docstring).  Lookups verify the embedded identity document, so
+    a wrong or torn file degrades to a miss (and is counted as
+    ``rejected``), never to wrong results.
     """
 
     def __init__(self, directory: str | pathlib.Path) -> None:
@@ -154,7 +248,7 @@ class ResultCache:
 
     def path_for(self, identity: dict[str, Any]) -> pathlib.Path:
         """The evaluation entry file an identity maps to (existing or not)."""
-        return self.directory / f"{self.digest(identity)}.npz"
+        return self.directory / f"{self.digest(identity)}{SUFFIX}"
 
     def doc_path_for(self, identity: dict[str, Any]) -> pathlib.Path:
         """The JSON artifact entry file an identity maps to."""
@@ -169,7 +263,7 @@ class ResultCache:
         does not read, validate, or count the entry (a torn or foreign
         file still reports ``True`` here and is rejected by
         :meth:`get` / :meth:`get_doc`).  Both entry kinds are probed —
-        an evaluation ``.npz`` and a JSON artifact ``.json`` never share
+        an evaluation ``.eval`` and a JSON artifact ``.json`` never share
         a digest because their identity documents differ in ``kind``.
         """
         return (
@@ -184,28 +278,17 @@ class ResultCache:
         embedded identity differs from the requested one (fingerprint
         collision, foreign file) is rejected and treated as a miss.
         """
-        path = self.path_for(identity)
-        if not path.exists():
+        try:
+            blob = self.path_for(identity).read_bytes()
+        except FileNotFoundError:
             self.misses += 1
             obs.add("cache.disk.misses")
             return None
+        except OSError:
+            blob = b""  # unreadable: rejected below
         try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["identity"]))
-                if meta != identity:
-                    raise ValueError("identity mismatch")
-                arrays = {
-                    name: _readonly(np.array(data[name]))
-                    for name in ARRAY_FIELDS
-                }
-                class_name = str(data["class_name"])
-        except (
-            OSError,
-            ValueError,
-            KeyError,
-            json.JSONDecodeError,
-            zipfile.BadZipFile,
-        ):
+            result = _decode_entry(blob, identity)
+        except (ValueError, KeyError, TypeError, struct.error):
             self.rejected += 1
             self.misses += 1
             obs.add("cache.disk.rejected")
@@ -213,9 +296,7 @@ class ResultCache:
             return None
         self.hits += 1
         obs.add("cache.disk.hits")
-        return VectorizedEvaluation(
-            class_name=class_name, space=None, **arrays
-        )
+        return result
 
     # -- store ---------------------------------------------------------
 
@@ -229,16 +310,7 @@ class ResultCache:
         wins and readers never observe a torn entry.
         """
         path = self.path_for(identity)
-        payload = io.BytesIO()
-        np.savez(
-            payload,
-            identity=json.dumps(identity, sort_keys=True),
-            class_name=result.class_name,
-            **{name: getattr(result, name) for name in ARRAY_FIELDS},
-        )
-        tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-        tmp.write_bytes(payload.getvalue())
-        os.replace(tmp, path)
+        atomic_write_bytes(path, _encode_entry(identity, result))
         self.writes += 1
         obs.add("cache.disk.writes")
         return path
@@ -287,9 +359,7 @@ class ResultCache:
             sort_keys=True,
             allow_nan=False,
         )
-        tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-        tmp.write_text(text + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        atomic_write_text(path, text + "\n")
         self.writes += 1
         obs.add("cache.disk.writes")
         return path
@@ -297,16 +367,20 @@ class ResultCache:
     # -- maintenance ---------------------------------------------------
 
     def entries(self) -> list[pathlib.Path]:
-        """All entry files (evaluations and JSON artifacts) in the cache."""
+        """All live entry files (evaluations and JSON artifacts)."""
         return sorted(
-            list(self.directory.glob("*.npz"))
+            list(self.directory.glob(f"*{SUFFIX}"))
             + list(self.directory.glob("*.json"))
         )
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry; returns how many files were removed.
+
+        Orphaned format-1 ``*.npz`` entries, which :meth:`entries` no
+        longer counts, are swept too.
+        """
         removed = 0
-        for path in self.entries():
+        for path in self.entries() + sorted(self.directory.glob("*.npz")):
             path.unlink(missing_ok=True)
             removed += 1
         return removed

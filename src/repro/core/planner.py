@@ -58,6 +58,7 @@ from repro.core.cache import ARRAY_FIELDS, entry_identity
 from repro.core.model import HybridProgramModel, Prediction
 from repro.core.parallel import _SubGrid
 from repro.core.vectorized import VectorizedEvaluation
+from repro.resilience.checkpoint import atomic_write_text
 from repro.units import MIB
 
 #: Execution strategies the planner chooses between.
@@ -327,12 +328,9 @@ def save_cost_model(model: CostModel, path: str | pathlib.Path) -> pathlib.Path:
     """Persist a calibration atomically (temp file + ``os.replace``)."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(
-        json.dumps(model.to_doc(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    atomic_write_text(
+        path, json.dumps(model.to_doc(), indent=2, sort_keys=True) + "\n"
     )
-    os.replace(tmp, path)
     return path
 
 

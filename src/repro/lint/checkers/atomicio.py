@@ -14,6 +14,12 @@ anywhere whose target expression mentions a cache/checkpoint path
 function uses the tmp+rename idiom (an ``os.replace``/``os.rename``/
 ``Path.rename`` call, with the written target named like a temp file)
 or targets an in-memory ``io.BytesIO``/``io.StringIO`` buffer.
+
+The tmp half must also be private to its writer.  A temp name built from
+``os.getpid()`` alone is shared by every thread of the process: two
+engine-pool threads writing one entry then clobber (or rename away) each
+other's temp file.  Such a name passes only with a thread-unique part
+(``threading.get_ident()``, ``tempfile.mkstemp`` and the like).
 """
 
 from __future__ import annotations
@@ -43,6 +49,16 @@ _WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 
 #: Calls that implement the rename half of the tmp+rename idiom.
 _RENAME_CALLS = ("os.replace", "os.rename", "pathlib.Path.rename")
+
+#: Calls that make a temp name unique per thread (or per call).
+_THREAD_UNIQUE_CALLS = frozenset(
+    {
+        "threading.get_ident",
+        "threading.get_native_id",
+        "tempfile.mkstemp",
+        "uuid.uuid4",
+    }
+)
 
 #: open() modes that create/truncate/append the destination.
 _WRITE_MODES = ("w", "a", "x")
@@ -111,6 +127,20 @@ class AtomicIoChecker:
                 if isinstance(target, ast.Name) and target.id in buffers:
                     continue  # in-memory staging buffer, not a file
                 if has_rename and "tmp" in target_text.lower():
+                    if _pid_only_temp_name(func_node, target, aliases):
+                        yield Finding(
+                            path=module.rel,
+                            line=call.lineno,
+                            rule=self.rule,
+                            message=(
+                                f"temp file {target_text!r} is named from "
+                                "os.getpid() alone, so threads of one "
+                                "process share it: add threading."
+                                "get_ident() (see repro.resilience."
+                                "checkpoint.atomic_write_bytes)"
+                            ),
+                            snippet=module.line(call.lineno),
+                        )
                     continue  # the tmp half of tmp+rename
                 yield Finding(
                     path=module.rel,
@@ -180,6 +210,35 @@ def _memory_buffers(scope: ast.AST, aliases: dict[str, str]) -> set[str]:
                     if isinstance(target, ast.Name):
                         buffers.add(target.id)
     return buffers
+
+
+def _pid_only_temp_name(
+    scope: ast.AST, target: ast.expr, aliases: dict[str, str]
+) -> bool:
+    """True when a temp name uses ``os.getpid()`` but nothing thread-unique.
+
+    Looks at the target expression itself and, for a bare name, at every
+    value assigned to that name within ``scope``.
+    """
+    exprs = [target]
+    if isinstance(target, ast.Name):
+        exprs += [
+            node.value
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Assign)
+            and any(
+                isinstance(t, ast.Name) and t.id == target.id
+                for t in node.targets
+            )
+        ]
+    calls = {
+        resolve_dotted(node.func, aliases)
+        for expr in exprs
+        for node in ast.walk(expr)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Attribute, ast.Name))
+    }
+    return "os.getpid" in calls and not calls & _THREAD_UNIQUE_CALLS
 
 
 def _has_rename(calls: list[ast.Call], aliases: dict[str, str]) -> bool:

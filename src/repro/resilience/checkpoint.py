@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import pathlib
+import threading
 from typing import Any
 
 from repro import obs
@@ -43,11 +44,34 @@ def fingerprint(identity: object) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def atomic_write_bytes(path: pathlib.Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically (temp file + rename).
+
+    The temp name is unique per process *and* thread, so concurrent
+    writers of one destination (engine-pool threads, forked workers)
+    each build a complete private file and race only on the final
+    :func:`os.replace`: the last rename wins and no reader ever sees a
+    torn file.  A failed write removes its temp file.
+    """
+    tmp = path.with_name(
+        f".{path.name}.tmp{os.getpid()}-{threading.get_ident()}"
+    )
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path: pathlib.Path, text: str) -> None:
+    """Write UTF-8 ``text`` to ``path`` atomically (see :func:`atomic_write_bytes`)."""
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
 def atomic_write_json(path: pathlib.Path, document: dict[str, Any]) -> None:
     """Write ``document`` to ``path`` atomically (temp file + rename)."""
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(json.dumps(document, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(document, sort_keys=True) + "\n")
 
 
 class Checkpoint:

@@ -8,15 +8,21 @@ foreign files, torn writes) are caught by comparing the embedded identity
 document, degrading to a miss.
 """
 
+import io
 import json
 import multiprocessing
+import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.cache import (
+    ALIGN,
     ARRAY_FIELDS,
     FORMAT_VERSION,
+    MAGIC,
     ResultCache,
     entry_identity,
 )
@@ -57,6 +63,18 @@ def _identity(model, space=SPACE, cls="A", queueing="bracketed", overlap=True):
     return entry_identity(model, space, cls, queueing, overlap)
 
 
+def _v1_entry(identity, result) -> bytes:
+    """A format-1 entry exactly as the old ``.npz`` writer produced it."""
+    buffer = io.BytesIO()
+    np.savez(
+        buffer,
+        identity=json.dumps(identity, sort_keys=True),
+        class_name=result.class_name,
+        **{name: getattr(result, name) for name in ARRAY_FIELDS},
+    )
+    return buffer.getvalue()
+
+
 # ----------------------------------------------------------------------
 # round trip
 # ----------------------------------------------------------------------
@@ -66,7 +84,7 @@ def test_round_trip_bit_identical(cache, model, result):
     identity = _identity(model)
     assert cache.get(identity) is None  # cold
     path = cache.put(identity, result)
-    assert path.exists() and path.suffix == ".npz"
+    assert path.exists() and path.suffix == ".eval"
     loaded = cache.get(identity)
     assert loaded is not None
     assert loaded.class_name == result.class_name
@@ -82,6 +100,31 @@ def test_loaded_arrays_are_readonly(cache, model, result):
     loaded = cache.get(_identity(model))
     with pytest.raises(ValueError):
         loaded.times_s[0] = 0.0
+
+
+def test_round_trip_every_field_bits_dtype_and_readonly(cache, model, result):
+    cache.put(_identity(model), result)
+    loaded = cache.get(_identity(model))
+    for name in ARRAY_FIELDS:
+        ours, theirs = getattr(loaded, name), getattr(result, name)
+        assert ours.dtype == theirs.dtype, name
+        assert ours.shape == theirs.shape, name
+        assert ours.tobytes() == theirs.tobytes(), name
+        assert not ours.flags.writeable, name
+        assert ours.flags.aligned, name
+
+
+def test_every_array_is_64_byte_aligned(cache, model, result):
+    blob = cache.put(_identity(model), result).read_bytes()
+    (length,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    start = len(MAGIC) + 8 + length
+    header = json.loads(blob[len(MAGIC) + 8 : start])
+    assert start % ALIGN == 0
+    assert [name for name, _, _ in header["fields"]] == list(ARRAY_FIELDS)
+    for name, _, offset in header["fields"]:
+        assert (start + offset) % ALIGN == 0, name
+    assert header["n"] == len(result)
+    assert header["identity"] == _identity(model)
 
 
 def test_rehydrated_configs_match_space(cache, model, result):
@@ -170,10 +213,55 @@ def test_truncated_entry_rejected(cache, model, result):
     assert cache.stats()["rejected"] == 1
 
 
-def test_foreign_npz_rejected(cache, model):
-    np.savez(cache.path_for(_identity(model)), unrelated=np.arange(3))
-    assert cache.get(_identity(model)) is None
+def test_foreign_npz_rejected(cache, model, result):
+    """npz archives at the entry path (foreign, or a real format-1 entry
+    carrying the requested identity) are rejected, never decoded."""
+    identity = _identity(model)
+    path = cache.path_for(identity)
+    buffer = io.BytesIO()
+    np.savez(buffer, unrelated=np.arange(3))
+    path.write_bytes(buffer.getvalue())
+    assert cache.get(identity) is None
     assert cache.stats()["rejected"] == 1
+    path.write_bytes(_v1_entry(identity, result))
+    assert cache.get(identity) is None
+    assert cache.stats()["rejected"] == 2
+
+
+def _wrong_magic(blob):
+    return b"NOTREPRO" + blob[len(MAGIC) :]
+
+
+def _header_past_eof(blob):
+    return MAGIC + struct.pack("<Q", len(blob)) + blob[len(MAGIC) + 8 :]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _wrong_magic,
+        _header_past_eof,
+        lambda blob: blob[:-1],
+        lambda blob: blob + b"\0",
+        lambda blob: blob[: len(MAGIC) + 4],
+        lambda blob: b"",
+    ],
+    ids=[
+        "wrong_magic",
+        "header_past_eof",
+        "truncated_one_byte",
+        "trailing_bytes",
+        "short_preamble",
+        "empty",
+    ],
+)
+def test_malformed_entry_rejected(cache, model, result, damage):
+    identity = _identity(model)
+    path = cache.put(identity, result)
+    path.write_bytes(damage(path.read_bytes()))
+    assert cache.get(identity) is None
+    assert cache.stats()["rejected"] == 1
+    assert cache.stats()["misses"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -198,12 +286,76 @@ def test_concurrent_writers_race_benignly(tmp_path, model, result):
     cache = ResultCache(directory)
     # exactly one complete entry, no temp droppings left behind
     assert [p.name for p in cache.entries()] == [
-        f"{cache.digest(identity)}.npz"
+        f"{cache.digest(identity)}.eval"
     ]
     assert list(directory.glob(".*tmp*")) == []
     loaded = cache.get(identity)
     assert loaded is not None
     assert np.array_equal(loaded.times_s, result.times_s)
+
+
+def _hammer(write, threads=4, repeats=50):
+    """Run ``write`` ``repeats`` times in each of ``threads`` threads
+    (more threads than this host's cores, with a short switch interval
+    so the threads interleave inside each write); returns the errors."""
+    errors = []
+    barrier = threading.Barrier(threads)
+
+    def worker():
+        barrier.wait()
+        for _ in range(repeats):
+            try:
+                write()
+            except Exception as exc:  # collected, asserted by the caller
+                errors.append(exc)
+
+    pool = [threading.Thread(target=worker) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    return errors
+
+
+def test_threaded_writers_of_one_entry_race_benignly(tmp_path, model, result):
+    """Engine-pool threads of one process putting the same identity
+    (e.g. pareto and evaluate_space on one grid) must not share a temp
+    file: no exception, one complete entry, no temp leftovers."""
+    cache = ResultCache(tmp_path / "cache")
+    identity = _identity(model)
+    assert _hammer(lambda: cache.put(identity, result)) == []
+    assert [p.name for p in cache.entries()] == [
+        f"{cache.digest(identity)}.eval"
+    ]
+    assert list(cache.directory.glob(".*tmp*")) == []
+    assert cache.writes == 200
+    loaded = cache.get(identity)
+    assert loaded is not None
+    assert loaded.times_s.tobytes() == result.times_s.tobytes()
+
+
+def test_failed_write_leaves_no_temp_file(cache, model, result, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("repro.resilience.checkpoint.os.replace", fail)
+    with pytest.raises(OSError):
+        cache.put(_identity(model), result)
+    assert list(cache.directory.iterdir()) == []
+
+
+def test_threaded_doc_writers_race_benignly(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    assert _hammer(lambda: cache.put_doc(DOC_IDENTITY, DOC_PAYLOAD)) == []
+    assert len(cache.entries()) == 1
+    assert list(cache.directory.glob(".*tmp*")) == []
+    assert cache.get_doc(DOC_IDENTITY) == DOC_PAYLOAD
 
 
 def test_clear_removes_entries(cache, model, result):
@@ -212,6 +364,19 @@ def test_clear_removes_entries(cache, model, result):
     assert cache.stats()["entries"] == 2
     assert cache.clear() == 2
     assert cache.entries() == []
+
+
+def test_clear_sweeps_orphaned_format_1_entries(cache, model, result):
+    """v1 ``.npz`` entries are never read again after the format bump:
+    they are not counted as entries, and clear() reclaims them."""
+    cache.put(_identity(model), result)
+    cache.put_doc(DOC_IDENTITY, DOC_PAYLOAD)
+    orphan = cache.directory / "0123456789abcdef.npz"
+    orphan.write_bytes(_v1_entry(_identity(model), result))
+    assert orphan not in cache.entries()
+    assert cache.stats()["entries"] == 2
+    assert cache.clear() == 3
+    assert list(cache.directory.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +403,7 @@ def test_cli_cold_warm_invalidated_round_trip(tmp_path, capsys):
     clear_evaluation_cache()
     assert main(_pareto_args(tmp_path)) == 0
     cold_out = capsys.readouterr().out
-    entries_after_cold = sorted(p.name for p in cache_dir.glob("*.npz"))
+    entries_after_cold = sorted(p.name for p in cache_dir.glob("*.eval"))
     assert len(entries_after_cold) == 1
 
     # warm: same inputs, fresh process state → served from disk, same text
@@ -246,12 +411,12 @@ def test_cli_cold_warm_invalidated_round_trip(tmp_path, capsys):
     assert main(_pareto_args(tmp_path)) == 0
     warm_out = capsys.readouterr().out
     assert warm_out == cold_out
-    assert sorted(p.name for p in cache_dir.glob("*.npz")) == entries_after_cold
+    assert sorted(p.name for p in cache_dir.glob("*.eval")) == entries_after_cold
 
     # invalidated: a different program re-keys instead of reusing
     clear_evaluation_cache()
     assert main(_pareto_args(tmp_path, program="BT")) == 0
-    entries_after_bt = sorted(p.name for p in cache_dir.glob("*.npz"))
+    entries_after_bt = sorted(p.name for p in cache_dir.glob("*.eval"))
     assert len(entries_after_bt) == 2
     assert set(entries_after_cold) < set(entries_after_bt)
 
@@ -276,10 +441,10 @@ def test_contains_probes_both_entry_kinds(cache, model, result):
     assert not cache.contains(DOC_IDENTITY)
     cache.put_doc(DOC_IDENTITY, DOC_PAYLOAD)
     assert cache.contains(DOC_IDENTITY)
-    npz_identity = _identity(model)
-    assert not cache.contains(npz_identity)
-    cache.put(npz_identity, result)
-    assert cache.contains(npz_identity)
+    eval_identity = _identity(model)
+    assert not cache.contains(eval_identity)
+    cache.put(eval_identity, result)
+    assert cache.contains(eval_identity)
     assert len(cache.entries()) == 2
 
 

@@ -327,6 +327,48 @@ class TestAtomicIoRL004:
         )
         assert result.ok
 
+    def test_pid_only_temp_name_is_flagged(self, tmp_path):
+        result = _lint(
+            tmp_path,
+            ["RL004"],
+            {
+                "store.py": """\
+                import os
+
+
+                def put(path, blob):
+                    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
+                    tmp.write_bytes(blob)
+                    os.replace(tmp, path)
+                """
+            },
+            atomic_modules=("store.py",),
+        )
+        assert len(result.findings) == 1
+        assert "os.getpid() alone" in result.findings[0].message
+
+    def test_thread_unique_temp_name_passes(self, tmp_path):
+        result = _lint(
+            tmp_path,
+            ["RL004"],
+            {
+                "store.py": """\
+                import os
+                import threading as th
+
+
+                def put(path, blob):
+                    tmp = path.with_name(
+                        f".{path.name}.tmp{os.getpid()}-{th.get_ident()}"
+                    )
+                    tmp.write_bytes(blob)
+                    os.replace(tmp, path)
+                """
+            },
+            atomic_modules=("store.py",),
+        )
+        assert result.ok
+
     def test_string_replace_is_not_a_rename(self, tmp_path):
         # text.replace() must not satisfy the tmp+rename requirement
         result = _lint(

@@ -208,6 +208,22 @@ class TestSeededRegressions:
         assert result.findings, "dropping os.replace must surface RL004"
         assert {f.rule for f in result.findings} == {"RL004"}
 
+    def test_rl004_pid_only_temp_name_regression(self, tmp_path):
+        # The pre-fix ResultCache.put: a temp name from the pid alone,
+        # shared by every engine-pool thread writing the same entry.
+        _seed(
+            tmp_path,
+            "src/repro/core/cache.py",
+            "repro/core/cache.py",
+            "        atomic_write_bytes(path, _encode_entry(identity, result))\n",
+            "        tmp = path.with_name(f\".{path.name}.tmp{os.getpid()}\")\n"
+            "        tmp.write_bytes(_encode_entry(identity, result))\n"
+            "        os.replace(tmp, path)\n",
+        )
+        result = lint_paths([tmp_path], tmp_path, config=LintConfig(rules=("RL004",)))
+        assert [f.rule for f in result.findings] == ["RL004"]
+        assert "os.getpid() alone" in result.findings[0].message
+
     def test_rl005_obscoverage_regression(self, tmp_path):
         _seed(
             tmp_path,

@@ -550,3 +550,89 @@ def test_close_is_idempotent_and_rejects_new_computes(make_app):
             )
 
     asyncio.run(run())
+
+
+# ---------------------------------------------------------------------
+# CLI wiring: the warm tier is the only disk writer under --cache-dir
+# ---------------------------------------------------------------------
+
+
+def _serve_via_cli(monkeypatch, shared_models, argv, session):
+    """Run ``repro <argv>`` through the real CLI wiring (global options,
+    ``_dispatch_planned``, ``_cmd_serve``, ``run_server``) with the
+    transport swapped for ``session(app)``, which drives requests
+    in-process.  Returns the ambient plan the service ran under."""
+    import repro.serve.app as app_module
+    from repro.cli.main import main
+    from repro.core import parallel
+
+    models, specs = shared_models
+    seen = {}
+
+    async def serve_in_process(app, host, port):
+        app._models.update(models)
+        app._specs.update(specs)
+        seen["plan"] = parallel.active_plan()
+        await session(app)
+        return 0
+
+    monkeypatch.setattr(app_module, "_serve_forever", serve_in_process)
+    assert main(argv) == 0
+    obs.disable()
+    return seen["plan"]
+
+
+def test_cli_serve_writes_each_fresh_result_once(
+    monkeypatch, shared_models, tmp_path
+):
+    from repro.core.vectorized import clear_evaluation_cache
+    from repro.serve.app import DEFAULT_RESPONSE_CACHE_SIZE, _ResponseCache
+
+    cache_dir = tmp_path / "warm"
+    # a cold engine LRU, so the fresh request reaches the planner
+    clear_evaluation_cache()
+    obs.disable()
+
+    async def session(app):
+        _, _, first = await app.handle("POST", "/v1/evaluate_space", _body())
+        assert app.engine_calls == 1
+        assert obs.counter_value("cache.disk.writes") == 1
+        assert [p.suffix for p in cache_dir.iterdir()] == [".eval"]
+        # evict the response LRU: the revisit must come from the warm tier
+        app.responses = _ResponseCache(DEFAULT_RESPONSE_CACHE_SIZE)
+        _, _, again = await app.handle("POST", "/v1/evaluate_space", _body())
+        assert again == first
+        assert app.engine_calls == 1
+        assert app.result_cache.hits == 1
+        assert obs.counter_value("serve.cache.warm_hits") == 1
+        assert obs.counter_value("cache.disk.writes") == 1
+        assert len(list(cache_dir.iterdir())) == 1
+
+    plan = _serve_via_cli(
+        monkeypatch,
+        shared_models,
+        ["--cache-dir", str(cache_dir), "serve", "--port", "0"],
+        session,
+    )
+    assert plan is None  # --workers 1: no ambient plan at all
+
+
+def test_cli_serve_ambient_plan_carries_workers_only(
+    monkeypatch, shared_models, tmp_path
+):
+    async def session(app):
+        assert app.result_cache is not None
+
+    plan = _serve_via_cli(
+        monkeypatch,
+        shared_models,
+        [
+            "--workers", "2",
+            "--cache-dir", str(tmp_path / "warm"),
+            "serve", "--port", "0",
+        ],
+        session,
+    )
+    # large per-request sweeps still shard; the disk cache is the app's
+    assert plan is not None and plan.workers == 2
+    assert plan.cache is None
