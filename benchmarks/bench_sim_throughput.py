@@ -1,96 +1,23 @@
-"""Simulator throughput: vectorization payoff and the batched-core gate.
+"""Simulator throughput: the vectorization payoff.
 
 The validation harness executes ~900 full runs per campaign, so simulator
 throughput is what makes the Table 2 bench take seconds instead of hours.
-Three studies:
+Two studies:
 
 * a full simulated run at the largest validation configuration — the
   unit of campaign work (pytest-benchmark timed);
 * the vectorized Lindley scan vs the event-heap engine on an identical
-  request stream — why the closed-form fast path exists;
-* the **batched backend vs the scalar backend** on replication
-  campaigns — the lane-stacked NumPy core of ``repro.simulate.batched``.
-  Timings interleave A/B pairs and compare medians (virtualized CI hosts
-  jitter ±25%), results are asserted bit-identical, and the smoke gate
-  (CI-blocking) enforces the floor: batched must never lose to scalar on
-  the replication-batch shape it exists for.  Full mode also measures
-  larger campaign shapes and records the honest speedup against the 20x
-  design target — element work, not NumPy call overhead, dominates on
-  large shapes, so the measured value on a given host may sit far below
-  the target; the JSON report keeps both numbers so the trend pipeline
-  tracks reality instead of the aspiration.
+  request stream — why the closed-form fast path exists.
 """
 
-import os
-import statistics
 import time
 
 import numpy as np
 
 from repro.machines.spec import Configuration
-from repro.perf import tune_allocator
-from repro.simulate.cluster import RunRequest
 from repro.simulate.engine import FifoServer, Simulator
 from repro.simulate.queueing import lindley_waits
 from repro.workloads.registry import get_program
-
-#: Design target for batched-over-scalar campaign throughput (recorded in
-#: the JSON report; the blocking gate is the >= 1x smoke floor below).
-TARGET_SPEEDUP_X = 20.0
-
-#: Smoke-mode floor: the batched core must at least break even on the
-#: replication-batch shape (many lanes, small per-lane arrays) that the
-#: lane-stacking exists for.
-SMOKE_FLOOR_X = 1.0
-
-#: Interleaved A/B timing pairs per case (medians reject VM jitter).
-PAIRS = 5
-
-
-def _campaign_cases(sim, smoke):
-    """(name, requests) campaign shapes; smoke keeps just the gate case."""
-    sp = get_program("SP")
-    fmax = sim.spec.node.core.fmax
-    cases = [
-        (
-            "replication_50x_1n4c",
-            [
-                RunRequest(sp, Configuration(1, 4, fmax), run_index=i)
-                for i in range(50)
-            ],
-        )
-    ]
-    if not smoke:
-        cases += [
-            (
-                "replication_20x_8n8c",
-                [
-                    RunRequest(sp, Configuration(8, 8, fmax), run_index=i)
-                    for i in range(20)
-                ],
-            ),
-            (
-                "mixed_30x_4n2c",
-                [
-                    RunRequest(sp, Configuration(4, 2, fmax), run_index=i % 10)
-                    for i in range(30)
-                ],
-            ),
-        ]
-    return cases
-
-
-def _median_pair_times(sim, requests, pairs):
-    """Interleaved scalar/batched medians (seconds per campaign pass)."""
-    scalar_s, batched_s = [], []
-    for _ in range(pairs):
-        t0 = time.perf_counter()
-        sim.run_batch(requests, backend="scalar")
-        scalar_s.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        sim.run_batch(requests, backend="batched")
-        batched_s.append(time.perf_counter() - t0)
-    return statistics.median(scalar_s), statistics.median(batched_s)
 
 
 def test_sim_full_run_throughput(benchmark, xeon_sim):
@@ -103,72 +30,6 @@ def test_sim_full_run_throughput(benchmark, xeon_sim):
         lambda: xeon_sim.run(program, cfg, run_index=next(counter))
     )
     assert result.wall_time_s > 0
-
-
-def test_batched_backend_throughput(xeon_sim, write_artifact, write_report):
-    """Batched vs scalar campaign throughput — the CI sim-throughput gate.
-
-    Smoke mode (REPRO_BENCH_SMOKE=1) is the blocking gate: bit-identical
-    results and the >= 1x floor on the replication-batch case.  Full mode
-    additionally measures the larger campaign shapes and records the
-    honest speedup against the 20x design target without failing on it.
-    """
-    # allocator tuning is applied identically to both backends: it removes
-    # glibc mmap/munmap page-fault churn, which otherwise drowns the
-    # comparison in allocator noise on virtualized hosts
-    tuned = tune_allocator()
-    smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
-
-    # agreement first: the two backends must return bit-identical results
-    gate_requests = _campaign_cases(xeon_sim, smoke=True)[0][1]
-    scalar_results = xeon_sim.run_batch(gate_requests, backend="scalar")
-    batched_results = xeon_sim.run_batch(gate_requests, backend="batched")
-    assert batched_results == scalar_results, (
-        "batched backend diverged from scalar — bit-identity is broken"
-    )
-
-    rows, case_metrics = [], {}
-    for name, requests in _campaign_cases(xeon_sim, smoke):
-        scalar_med, batched_med = _median_pair_times(xeon_sim, requests, PAIRS)
-        speedup = scalar_med / batched_med
-        rows.append(
-            f"  {name:24s} scalar {scalar_med * 1e3:8.1f} ms   "
-            f"batched {batched_med * 1e3:8.1f} ms   {speedup:5.2f}x"
-        )
-        case_metrics[f"{name}_speedup_x"] = (speedup, "x")
-
-    gate_speedup = case_metrics["replication_50x_1n4c_speedup_x"][0]
-    write_artifact(
-        "sim_throughput.txt",
-        "\n".join(
-            [
-                "Batched vs scalar simulator backend "
-                f"({'smoke' if smoke else 'full'} mode, medians of "
-                f"{PAIRS} interleaved A/B passes, allocator tuned: {tuned}):",
-                *rows,
-                f"  design target            {TARGET_SPEEDUP_X:.0f}x "
-                "(overhead-bound regime)",
-                f"  blocking floor (smoke)   {SMOKE_FLOOR_X:.1f}x on the "
-                "replication batch",
-                "(results verified bit-identical between backends)",
-            ]
-        ),
-    )
-    write_report(
-        "sim_throughput",
-        {
-            **case_metrics,
-            "target_speedup_x": (TARGET_SPEEDUP_X, "x"),
-            "smoke_floor_x": (SMOKE_FLOOR_X, "x"),
-            "allocator_tuned": (1.0 if tuned else 0.0, "bool"),
-        },
-    )
-
-    # the blocking gate: batched must not lose on its home shape
-    assert gate_speedup >= SMOKE_FLOOR_X, (
-        f"batched backend regressed below the {SMOKE_FLOOR_X}x floor "
-        f"({gate_speedup:.2f}x) on the replication batch"
-    )
 
 
 def test_vectorized_lindley_vs_event_engine(

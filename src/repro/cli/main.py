@@ -29,7 +29,6 @@ from repro.core.whatif import WhatIf
 from repro.machines.registry import get_cluster, list_clusters
 from repro.machines.spec import Configuration
 from repro.measure.netpipe import run_netpipe
-from repro.simulate.backend import SIM_BACKENDS
 from repro.simulate.cluster import SimulatedCluster
 from repro.units import ghz, joules_to_kj, to_ghz
 from repro.workloads.registry import get_program, list_programs
@@ -46,6 +45,14 @@ def _parse_config(text: str) -> Configuration:
         raise argparse.ArgumentTypeError(
             f"expected n,c,f[GHz] like 1,8,1.8 — got {text!r}"
         ) from exc
+
+
+def _repetitions(text: str) -> int:
+    """Parse a repeat count; a campaign needs at least one run."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,15 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(docs/PLANNER.md)",
     )
     parser.add_argument(
-        "--sim-backend",
-        choices=SIM_BACKENDS,
-        default="auto",
-        help="simulator execution core: 'batched' stacks replication runs "
-        "through one NumPy pipeline, 'scalar' loops the reference core, "
-        "'auto' picks per call — results are bit-identical either way "
-        "(docs/SIMULATOR.md)",
-    )
-    parser.add_argument(
         "--retries",
         type=int,
         default=None,
@@ -149,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster", choices=list_clusters(), required=True)
     p.add_argument("--program", choices=list_programs(), required=True)
     p.add_argument("--output", required=True, metavar="INPUTS.json")
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--repetitions", type=_repetitions, default=3)
     p.add_argument(
         "--checkpoint",
         default=None,
@@ -173,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="measured-vs-predicted campaign")
     p.add_argument("--cluster", choices=list_clusters(), required=True)
     p.add_argument("--program", choices=list_programs(), required=True)
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--repetitions", type=_repetitions, default=3)
 
     p = sub.add_parser("pareto", help="time-energy Pareto frontier")
     p.add_argument("--cluster", choices=list_clusters(), required=True)
@@ -437,18 +435,17 @@ def _cmd_netpipe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulated(cluster_name: str, backend: str = "auto") -> SimulatedCluster:
-    """A simulated cluster honoring the global ``--sim-backend`` choice."""
-    return SimulatedCluster(get_cluster(cluster_name), sim_backend=backend)
+def _simulated(cluster_name: str) -> SimulatedCluster:
+    """The simulated testbed standing in for ``cluster_name``."""
+    return SimulatedCluster(get_cluster(cluster_name))
 
 
 def _model_for(
     cluster_name: str,
     program_name: str,
     inputs_path: str | None = None,
-    backend: str = "auto",
 ) -> tuple[SimulatedCluster, HybridProgramModel]:
-    sim = _simulated(cluster_name, backend)
+    sim = _simulated(cluster_name)
     program = get_program(program_name)
     if inputs_path is not None:
         from repro.io import load_model_inputs
@@ -469,7 +466,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     from repro.io import save_model_inputs
     from repro.resilience.pipeline import coverage_report
 
-    sim = _simulated(args.cluster, args.sim_backend)
+    sim = _simulated(args.cluster)
     inputs = characterize(
         sim,
         get_program(args.program),
@@ -502,7 +499,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             )
         model = _Model(program=get_program(args.program), inputs=inputs)
     else:
-        _, model = _model_for(args.cluster, args.program, backend=args.sim_backend)
+        _, model = _model_for(args.cluster, args.program)
     pred = model.predict(args.config, args.input_class)
     t = pred.time
     print(f"configuration {pred.config}: class {pred.class_name}")
@@ -516,7 +513,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    sim = _simulated(args.cluster, args.sim_backend)
+    sim = _simulated(args.cluster)
     program = get_program(args.program)
     campaign = validate_program(sim, program, repetitions=args.repetitions)
     rows = [
@@ -544,9 +541,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
-    sim, model = _model_for(
-        args.cluster, args.program, getattr(args, "inputs", None), args.sim_backend
-    )
+    sim, model = _model_for(args.cluster, args.program, getattr(args, "inputs", None))
     if args.extrapolate:
         space = (
             ConfigSpace.xeon_pareto(sim.spec)
@@ -613,9 +608,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
 
 
 def _cmd_ucr(args: argparse.Namespace) -> int:
-    sim, model = _model_for(
-        args.cluster, args.program, getattr(args, "inputs", None), args.sim_backend
-    )
+    sim, model = _model_for(args.cluster, args.program, getattr(args, "inputs", None))
     space = ConfigSpace.physical(sim.spec)
     evaluation = evaluate_space(model, space)
     rows = [
@@ -633,7 +626,7 @@ def _cmd_ucr(args: argparse.Namespace) -> int:
 
 
 def _cmd_whatif(args: argparse.Namespace) -> int:
-    _, model = _model_for(args.cluster, args.program, backend=args.sim_backend)
+    _, model = _model_for(args.cluster, args.program)
     base = model.predict(args.config)
     tuned = model
     if args.mem_bandwidth != 1.0:
@@ -658,9 +651,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
 def _cmd_advise(args: argparse.Namespace) -> int:
     from repro.core.dvfs import advise_stall_dvfs
 
-    _, model = _model_for(
-        args.cluster, args.program, getattr(args, "inputs", None), args.sim_backend
-    )
+    _, model = _model_for(args.cluster, args.program, getattr(args, "inputs", None))
     advice = advise_stall_dvfs(
         model, args.config, max_slowdown=args.max_slowdown
     )
@@ -714,7 +705,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     evaluations = {}
     for name in list_clusters():
-        sim, model = _model_for(name, args.program, backend=args.sim_backend)
+        sim, model = _model_for(name, args.program)
         evaluations[name] = evaluate_space(model, ConfigSpace.physical(sim.spec))
     comparison = ClusterComparison(evaluations)
     rows = [
@@ -769,7 +760,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     spec = get_cluster(args.cluster)
     total_nodes = args.nodes if args.nodes is not None else spec.max_nodes
-    sim = SimulatedCluster(spec, sim_backend=args.sim_backend)
+    sim = SimulatedCluster(spec)
     jobs = []
     for i, text in enumerate(args.job):
         try:
@@ -813,7 +804,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     from repro.measure.powertrace import synthesize_power_trace
 
-    sim = _simulated(args.cluster, args.sim_backend)
+    sim = _simulated(args.cluster)
     run = sim.run(get_program(args.program), args.config, collect_trace=True)
     trace = run.trace
     assert trace is not None

@@ -12,16 +12,10 @@ model-vs-simulator validation error is a real quantity.
 
 Entry point: :class:`SimulatedCluster` (``cluster.py``), which returns
 :class:`RunResult` records carrying wall time, a per-component energy
-breakdown, hardware-counter totals and an mpiP-style message log.
-
-Two execution cores back it: the scalar reference
-(:mod:`repro.simulate.runtime`) and the lane-stacked batched core
-(:mod:`repro.simulate.batched`), selected per call through
-:func:`resolve_backend` — bit-identical per run, so the choice is purely
-a throughput knob (see ``docs/SIMULATOR.md``).
+breakdown, hardware-counter totals and an mpiP-style message log;
+:mod:`repro.simulate.runtime` executes each run.
 """
 
-from repro.simulate.backend import SIM_BACKENDS, resolve_backend
 from repro.simulate.cluster import RunRequest, SimulatedCluster
 from repro.simulate.results import (
     ComponentEnergy,
@@ -36,8 +30,6 @@ from repro.simulate.faults import FaultModel, degraded_memory, degraded_network
 __all__ = [
     "SimulatedCluster",
     "RunRequest",
-    "SIM_BACKENDS",
-    "resolve_backend",
     "RunResult",
     "ComponentEnergy",
     "CounterTotals",

@@ -9,15 +9,13 @@ message log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from repro import rng as rng_mod
 from repro.machines.spec import ClusterSpec, Configuration
-from repro.simulate.backend import resolve_backend
-from repro.simulate.batched import LaneRequest, execute_batch
 from repro.simulate.faults import FaultModel
 from repro.simulate.noise import NoiseModel
 from repro.simulate.results import RunResult
@@ -51,17 +49,12 @@ class SimulatedCluster:
     return identical results while distinct ``run_index`` values model
     genuinely different executions (the paper's §IV-C "different runs of
     the same program" irregularity).
-
-    ``sim_backend`` selects the execution core (``auto``/``scalar``/
-    ``batched``, see :mod:`repro.simulate.backend`); the backends are
-    bit-identical per run, so the knob only affects throughput.
     """
 
     spec: ClusterSpec
     noise: NoiseModel = field(default_factory=NoiseModel)
     root_seed: int = rng_mod.DEFAULT_ROOT_SEED
     faults: "FaultModel | None" = None
-    sim_backend: str = "auto"
 
     def _stream(
         self,
@@ -111,49 +104,22 @@ class SimulatedCluster:
             faults=self.faults,
         )
 
-    def run_batch(
-        self,
-        requests: Sequence[RunRequest],
-        backend: str | None = None,
-    ) -> list[RunResult]:
+    def run_batch(self, requests: Sequence[RunRequest]) -> list[RunResult]:
         """Execute a batch of runs, results in request order.
 
-        Routes through the backend selector: the batched core stacks
-        shape-compatible requests into one NumPy pipeline, the scalar
-        core loops — either way each run is bit-identical to the
-        equivalent `run` call (same named stream, same arithmetic).
+        Each run is exactly the equivalent `run` call (same named stream).
         """
-        resolved = resolve_backend(
-            backend if backend is not None else self.sim_backend,
-            lanes=len(requests),
-        )
-        if resolved == "scalar":
-            return [
-                self.run(
-                    r.program,
-                    r.config,
-                    r.class_name,
-                    run_index=r.run_index,
-                    stall_frequency_hz=r.stall_frequency_hz,
-                    collect_trace=r.collect_trace,
-                )
-                for r in requests
-            ]
-        lanes = []
-        for r in requests:
-            cls = r.class_name or r.program.reference_class
-            lanes.append(
-                LaneRequest(
-                    program=r.program,
-                    class_name=cls,
-                    config=r.config,
-                    rng=self._stream(r.program, cls, r.config, r.run_index),
-                    stall_frequency_hz=r.stall_frequency_hz,
-                    faults=self.faults,
-                    collect_trace=r.collect_trace,
-                )
+        return [
+            self.run(
+                r.program,
+                r.config,
+                r.class_name,
+                run_index=r.run_index,
+                stall_frequency_hz=r.stall_frequency_hz,
+                collect_trace=r.collect_trace,
             )
-        return execute_batch(self.spec, lanes, self.noise)
+            for r in requests
+        ]
 
     def run_many(
         self,
@@ -163,6 +129,8 @@ class SimulatedCluster:
         repetitions: int = 3,
     ) -> list[RunResult]:
         """Repeat a run with independent noise draws (measurement practice)."""
+        if repetitions < 1:
+            raise ValueError(f"repetitions must be >= 1, got {repetitions}")
         return self.run_batch(
             [
                 RunRequest(program, config, class_name, run_index=i)
@@ -171,10 +139,5 @@ class SimulatedCluster:
         )
 
     def deterministic(self) -> "SimulatedCluster":
-        """A noise-free copy (unit tests / debugging)."""
-        return SimulatedCluster(
-            spec=self.spec,
-            noise=NoiseModel.disabled(),
-            root_seed=self.root_seed,
-            sim_backend=self.sim_backend,
-        )
+        """A noise-free copy (unit tests / debugging); faults are kept."""
+        return replace(self, noise=NoiseModel.disabled())

@@ -35,9 +35,8 @@ from repro.workloads.base import HybridProgram
 class ComputeDemand:
     """Per-(iteration, process, thread) compute-phase demand arrays.
 
-    All arrays have shape ``(S, n, c)`` for a single run (the batched
-    core stacks lanes in front: ``(L, S, n, c)``); times are seconds at
-    the run's frequency, cycle counts are raw cycles.
+    All arrays have shape ``(S, n, c)``; times are seconds at the run's
+    frequency, cycle counts are raw cycles.
     """
 
     instructions: np.ndarray
@@ -49,24 +48,8 @@ class ComputeDemand:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """``(S, n, c)`` — or ``(L, S, n, c)`` for a lane-stacked batch."""
+        """``(S, n, c)``."""
         return self.instructions.shape
-
-
-@dataclass(frozen=True)
-class ComputeDraws:
-    """Stochastic inputs of one run's compute phase, pre-drawn.
-
-    Splitting the draws from the arithmetic is what lets the batched
-    core (:mod:`repro.simulate.batched`) consume each lane's generator
-    in exactly the scalar order, then stack the draws and run the
-    arithmetic once across lanes.  Shapes are ``(S, n, 1)`` /
-    ``(S, n, c)`` per lane; the batch core stacks a leading lane axis.
-    """
-
-    proc_shares: np.ndarray
-    thread_shares: np.ndarray
-    jitter: np.ndarray
 
 
 def _normalized_imbalance(
@@ -84,18 +67,25 @@ def _normalized_imbalance(
     return draw / draw.mean(axis=axis, keepdims=True)
 
 
-def draw_compute(
+def compute_demand(
     program: HybridProgram,
     class_name: str,
+    cluster: ClusterSpec,
     config: Configuration,
     noise: NoiseModel,
     rng: np.random.Generator,
-) -> ComputeDraws:
-    """Consume one run's compute-phase draws from ``rng``, in the fixed
-    scalar order (process shares, thread shares, phase jitter)."""
-    s_iters = program.iterations(class_name)
+) -> ComputeDemand:
+    """Materialize compute-phase demand for one run.
+
+    Consumes ``rng`` in a fixed order: process shares, thread shares,
+    phase jitter.
+    """
+    core = cluster.node.core
+    memory = cluster.node.memory
     n, c = config.nodes, config.cores
+    s_iters = program.iterations(class_name)
     shape = (s_iters, n, c)
+
     proc_shares = _normalized_imbalance(
         rng, program.process_imbalance, (s_iters, n, 1), axis=1
     )
@@ -103,30 +93,6 @@ def draw_compute(
         rng, program.thread_imbalance, shape, axis=2
     )
     jitter = noise.phase_multipliers(rng, shape)
-    return ComputeDraws(
-        proc_shares=proc_shares, thread_shares=thread_shares, jitter=jitter
-    )
-
-
-def demand_from_draws(
-    program: HybridProgram,
-    class_name: str,
-    cluster: ClusterSpec,
-    nodes: int,
-    cores: int,
-    frequency_hz: "float | np.ndarray",
-    draws: ComputeDraws,
-) -> ComputeDemand:
-    """Pure arithmetic of the compute phase, shape-agnostic over lanes.
-
-    ``draws`` arrays may carry leading batch axes (``(L, S, n, c)``) and
-    ``frequency_hz`` may be an array broadcastable against them (lane
-    frequencies); each lane's results are bit-identical to a standalone
-    scalar run because every operation is elementwise per lane.
-    """
-    core = cluster.node.core
-    memory = cluster.node.memory
-    n, c = nodes, cores
 
     # --- abstract instructions per thread ------------------------------
     total_instr = program.instructions(class_name)
@@ -135,10 +101,9 @@ def demand_from_draws(
     par_instr = total_instr - seq_instr
 
     # parallel share: split across n processes, then c threads, imbalanced
-    abstract = (par_instr / (n * c)) * draws.proc_shares * draws.thread_shares
+    abstract = (par_instr / (n * c)) * proc_shares * thread_shares
     # serial fraction runs on thread 0 of process 0
-    abstract = np.ascontiguousarray(abstract)
-    abstract[..., 0, 0] += seq_instr
+    abstract[:, 0, 0] += seq_instr
     # sync overhead is spread across all threads (it is busy-work everywhere)
     abstract += sync_instr / (n * c)
 
@@ -151,10 +116,10 @@ def demand_from_draws(
     # --- DRAM traffic ----------------------------------------------------
     amplification = memory.miss_amplification(program.working_set(class_name))
     dram_total = program.dram_bytes(class_name) * amplification
-    dram = (dram_total / (n * c)) * draws.proc_shares * draws.thread_shares
+    dram = (dram_total / (n * c)) * proc_shares * thread_shares
 
     # --- wall time of the compute burst ---------------------------------
-    compute_time = (work + hazard) / frequency_hz * draws.jitter
+    compute_time = (work + hazard) / config.frequency_hz * jitter
 
     return ComputeDemand(
         instructions=native,
@@ -163,25 +128,4 @@ def demand_from_draws(
         cache_stall_cycles=cache_stall,
         dram_bytes=dram,
         compute_time_s=compute_time,
-    )
-
-
-def compute_demand(
-    program: HybridProgram,
-    class_name: str,
-    cluster: ClusterSpec,
-    config: Configuration,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-) -> ComputeDemand:
-    """Materialize compute-phase demand for one run."""
-    draws = draw_compute(program, class_name, config, noise, rng)
-    return demand_from_draws(
-        program,
-        class_name,
-        cluster,
-        config.nodes,
-        config.cores,
-        config.frequency_hz,
-        draws,
     )

@@ -55,106 +55,6 @@ class MemoryOutcome:
     stall_cycles: np.ndarray
 
 
-def draw_memory(
-    rng: np.random.Generator, s_iters: int, nodes: int, cores: int
-) -> np.ndarray:
-    """Consume one run's memory arrival fractions from ``rng``.
-
-    Returns shape ``(n, S, c * BATCHES)`` — uniform [0, 1) positions of
-    each request batch within its thread's compute burst, node-major.
-    One bulk ``uniform`` call fills the output in the same generator
-    order as the historical per-node calls, so the stream stays aligned.
-    """
-    return rng.uniform(0.0, 1.0, size=(nodes, s_iters, cores * BATCHES))
-
-
-def memory_from_draws(
-    demand: ComputeDemand,
-    cluster: ClusterSpec,
-    nodes: int,
-    cores: int,
-    frequency_hz: "float | np.ndarray",
-    stall_frequency_hz: "float | np.ndarray | None",
-    arrival_fractions: np.ndarray,
-) -> MemoryOutcome:
-    """Pure arithmetic of the memory phase, shape-agnostic over lanes.
-
-    ``arrival_fractions`` is node-major — ``(n, ..., S, c*B)``, with the
-    middle axes matching ``demand``'s leading (lane) axes; every
-    operation below is row-independent (elementwise, per-row sort,
-    per-row scan), so a lane sliced out of a stacked batch is
-    bit-identical to a standalone scalar run.
-    """
-    memory = cluster.node.memory
-    core = cluster.node.core
-    n, c = nodes, cores
-    f = frequency_hz
-    f_stall = stall_frequency_hz if stall_frequency_hz is not None else f
-
-    bandwidth = memory.bandwidth_bytes_per_s
-    latency_per_line = memory.latency_s / core.mlp
-    lines_per_byte = 1.0 / core.line_bytes
-
-    # Controllers are independent per node, so every (iteration, node) row
-    # is its own queue — the demand arrays' natural ``(..., S, n, c)``
-    # layout already exposes them as rows.  Only the draws arrive
-    # node-major (generator-order constraint); transpose them once into
-    # that layout and every later op runs on C-contiguous arrays.  Row
-    # content and per-row arithmetic are unchanged, so results stay
-    # bit-identical to resolving nodes one at a time.
-    fractions = np.ascontiguousarray(
-        np.moveaxis(arrival_fractions, 0, -2)
-    )  # (..., S, n, c*B)
-
-    batch_bytes = np.repeat(demand.dram_bytes / BATCHES, BATCHES, axis=-1)
-    spans = np.repeat(demand.compute_time_s, BATCHES, axis=-1)
-    arrivals = fractions * spans  # (..., S, n, c*B)
-
-    # bandwidth term occupies the controller; latency term is exposed
-    # at the core but pipelined through the controller.
-    bw_service = batch_bytes / bandwidth
-    lat_exposure = batch_bytes * lines_per_byte * latency_per_line
-
-    order = np.argsort(arrivals, axis=-1, kind="stable")
-    sorted_arrivals = np.take_along_axis(arrivals, order, axis=-1)
-    sorted_service = np.take_along_axis(bw_service, order, axis=-1)
-
-    # Real contention interleaves at cache-line granularity, so every
-    # thread sees the same *average* queue — the per-iteration total
-    # waiting (from the exact Lindley pass over the batch arrival
-    # pattern) is attributed to threads in proportion to their traffic.
-    total_wait = lindley_wait_sums(sorted_arrivals, sorted_service)
-    total_wait = total_wait[..., None]  # (..., S, n, 1)
-    bytes_total = demand.dram_bytes.sum(axis=-1, keepdims=True)
-    share = np.divide(
-        demand.dram_bytes,
-        bytes_total,
-        out=np.full(demand.dram_bytes.shape, 1.0 / c),
-        where=bytes_total > 0,
-    )
-    wait = total_wait * share  # (..., S, n, c)
-    # per-thread core-visible service: bandwidth vs latency exposure,
-    # whichever binds, summed over the thread's batches
-    core_cost = np.maximum(bw_service, lat_exposure)  # (..., S, n, c*B)
-    service = core_cost.reshape(
-        core_cost.shape[:-1] + (c, BATCHES)
-    ).sum(axis=-1)
-
-    exposed = 1.0 - core.memory_overlap
-    stall_time = (wait + service) * exposed
-    stall_cycles = stall_time * f + demand.cache_stall_cycles
-    # cache stalls also consume wall time, at the (possibly throttled)
-    # stall-phase frequency
-    stall_time_total = stall_time + demand.cache_stall_cycles / f_stall
-
-    return MemoryOutcome(
-        stall_time_s=stall_time_total,
-        wait_time_s=wait * exposed,
-        service_time_s=service * exposed + demand.cache_stall_cycles / f_stall,
-        stall_cycles=stall_cycles,
-    )
-
-
 def resolve_memory(
     demand: ComputeDemand,
     cluster: ClusterSpec,
@@ -170,14 +70,71 @@ def resolve_memory(
     and unaffected, but the pipeline-coupled cache stalls take
     ``cycles / f_stall`` of wall time instead of ``cycles / f``.
     """
+    memory = cluster.node.memory
+    core = cluster.node.core
     s_iters, n, c = demand.shape
-    arrival_fractions = draw_memory(rng, s_iters, n, c)
-    return memory_from_draws(
-        demand,
-        cluster,
-        n,
-        c,
-        config.frequency_hz,
-        stall_frequency_hz,
-        arrival_fractions,
+    f = config.frequency_hz
+    f_stall = stall_frequency_hz if stall_frequency_hz is not None else f
+
+    # uniform [0, 1) positions of each request batch within its thread's
+    # compute burst, drawn node-major in one call: (n, S, c*B)
+    arrival_fractions = rng.uniform(0.0, 1.0, size=(n, s_iters, c * BATCHES))
+
+    bandwidth = memory.bandwidth_bytes_per_s
+    latency_per_line = memory.latency_s / core.mlp
+    lines_per_byte = 1.0 / core.line_bytes
+
+    # Controllers are independent per node, so every (iteration, node) row
+    # is its own queue — the demand arrays' natural ``(S, n, c)`` layout
+    # already exposes them as rows.  Only the draws arrive node-major
+    # (generator-order constraint); transpose them once into that layout
+    # and every later op runs on C-contiguous arrays.
+    fractions = np.ascontiguousarray(
+        np.moveaxis(arrival_fractions, 0, -2)
+    )  # (S, n, c*B)
+
+    batch_bytes = np.repeat(demand.dram_bytes / BATCHES, BATCHES, axis=-1)
+    spans = np.repeat(demand.compute_time_s, BATCHES, axis=-1)
+    arrivals = fractions * spans  # (S, n, c*B)
+
+    # bandwidth term occupies the controller; latency term is exposed
+    # at the core but pipelined through the controller.
+    bw_service = batch_bytes / bandwidth
+    lat_exposure = batch_bytes * lines_per_byte * latency_per_line
+
+    order = np.argsort(arrivals, axis=-1, kind="stable")
+    sorted_arrivals = np.take_along_axis(arrivals, order, axis=-1)
+    sorted_service = np.take_along_axis(bw_service, order, axis=-1)
+
+    # Real contention interleaves at cache-line granularity, so every
+    # thread sees the same *average* queue — the per-iteration total
+    # waiting (from the exact Lindley pass over the batch arrival
+    # pattern) is attributed to threads in proportion to their traffic.
+    total_wait = lindley_wait_sums(sorted_arrivals, sorted_service)
+    total_wait = total_wait[..., None]  # (S, n, 1)
+    bytes_total = demand.dram_bytes.sum(axis=-1, keepdims=True)
+    share = np.divide(
+        demand.dram_bytes,
+        bytes_total,
+        out=np.full(demand.dram_bytes.shape, 1.0 / c),
+        where=bytes_total > 0,
+    )
+    wait = total_wait * share  # (S, n, c)
+    # per-thread core-visible service: bandwidth vs latency exposure,
+    # whichever binds, summed over the thread's batches
+    core_cost = np.maximum(bw_service, lat_exposure)  # (S, n, c*B)
+    service = core_cost.reshape(s_iters, n, c, BATCHES).sum(axis=-1)
+
+    exposed = 1.0 - core.memory_overlap
+    stall_time = (wait + service) * exposed
+    stall_cycles = stall_time * f + demand.cache_stall_cycles
+    # cache stalls also consume wall time, at the (possibly throttled)
+    # stall-phase frequency
+    stall_time_total = stall_time + demand.cache_stall_cycles / f_stall
+
+    return MemoryOutcome(
+        stall_time_s=stall_time_total,
+        wait_time_s=wait * exposed,
+        service_time_s=service * exposed + demand.cache_stall_cycles / f_stall,
+        stall_cycles=stall_cycles,
     )

@@ -92,51 +92,27 @@ def _destinations(nodes: int, msgs: int) -> np.ndarray:
     return (senders + 1 + (k % (nodes - 1))) % nodes
 
 
-def draw_network(
-    rng: np.random.Generator,
-    s_iters: int,
-    nodes: int,
-    msgs: int,
-    nu: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Consume one run's communication draws from ``rng``.
-
-    Returns ``(sizes, offsets)``, both ``(S, n, M)``: lognormal message
-    sizes around the mean ``nu`` and sorted posting offsets within the
-    compute-burst tail.  Only called when the run communicates
-    (``msgs > 0``) — a single-node run consumes nothing, exactly like
-    the historical inline draws.
-    """
-    sizes = nu * rng.lognormal(
-        mean=-0.5 * np.log1p(SIZE_CV**2),
-        sigma=np.sqrt(np.log1p(SIZE_CV**2)),
-        size=(s_iters, nodes, msgs),
-    )
-    offsets = np.sort(
-        rng.uniform(1.0 - POST_WINDOW, 1.0, size=(s_iters, nodes, msgs)),
-        axis=-1,
-    )
-    return sizes, offsets
-
-
-def network_from_draws(
+def resolve_network(
+    program: HybridProgram,
+    class_name: str,
     cluster: ClusterSpec,
-    nodes: int,
-    msgs: int,
+    config: Configuration,
     compute_end_s: np.ndarray,
-    sizes: np.ndarray | None,
-    offsets: np.ndarray | None,
+    noise: NoiseModel,
+    rng: np.random.Generator,
 ) -> NetworkOutcome:
-    """Pure arithmetic of the communication phase, shape-agnostic over lanes.
+    """Resolve the communication phase for every (iteration, process).
 
-    ``compute_end_s`` is ``(..., S, n)`` and ``sizes``/``offsets`` are
-    ``(..., S, n, M)`` (``None`` when ``msgs == 0``); leading axes are
-    independent lanes.  All operations are row-independent, so a lane of
-    a stacked batch is bit-identical to a standalone scalar run.
+    ``compute_end_s`` has shape ``(S, n)``: per-process compute completion
+    (including memory stalls) relative to the iteration start.  A
+    communicating run consumes ``rng`` in a fixed order — lognormal
+    message sizes around ``ν``, then posting offsets within the
+    compute-burst tail; a single-node run consumes nothing.
     """
     nic = cluster.node.nic
     switch = cluster.switch
-    n = nodes
+    s_iters, n = compute_end_s.shape
+    msgs = _message_counts(program, n)
 
     if msgs == 0:
         zeros = np.zeros(compute_end_s.shape)
@@ -149,7 +125,17 @@ def network_from_draws(
             messages=zeros.copy(),
             bytes_sent=zeros.copy(),
         )
-    assert sizes is not None and offsets is not None
+
+    nu = program.bytes_per_message(class_name, n)
+    sizes = nu * rng.lognormal(
+        mean=-0.5 * np.log1p(SIZE_CV**2),
+        sigma=np.sqrt(np.log1p(SIZE_CV**2)),
+        size=(s_iters, n, msgs),
+    )
+    offsets = np.sort(
+        rng.uniform(1.0 - POST_WINDOW, 1.0, size=(s_iters, n, msgs)),
+        axis=-1,
+    )
 
     # --- posting times: sends issued during the tail of the compute burst
     span = compute_end_s[..., None]
@@ -161,12 +147,12 @@ def network_from_draws(
     nic_service_flat = nic_service.reshape(-1, msgs)
     nic_waits = lindley_waits(posts_flat, nic_service_flat)
     egress = (posts_flat + nic_waits + nic_service_flat).reshape(posts.shape)
-    send_complete = egress.max(axis=-1)  # (..., S, n): last send accepted
+    send_complete = egress.max(axis=-1)  # (S, n): last send accepted
 
     # --- output-port queueing at the switch ------------------------------
     dests_flat = _destinations(n, msgs).ravel()  # (n*M,)
     port_service = switch.forwarding_latency_s + sizes / switch.port_bytes_per_s
-    egress_flat = egress.reshape(egress.shape[:-2] + (n * msgs,))
+    egress_flat = egress.reshape(s_iters, n * msgs)
     service_flat = port_service.reshape(egress_flat.shape)
 
     receive_complete = np.zeros(compute_end_s.shape)
@@ -185,7 +171,7 @@ def network_from_draws(
             by_count.setdefault(idx.size, []).append(q)
     for ports in by_count.values():
         gather = np.stack([port_indices[q] for q in ports])  # (P, K)
-        arr_q = egress_flat[..., gather]  # (..., S, P, K)
+        arr_q = egress_flat[..., gather]  # (S, P, K)
         svc_q = service_flat[..., gather]
         order = np.argsort(arr_q, axis=-1, kind="stable")
         sorted_arr = np.take_along_axis(arr_q, order, axis=-1)
@@ -215,26 +201,3 @@ def network_from_draws(
         messages=np.full(compute_end_s.shape, float(msgs)),
         bytes_sent=sizes.sum(axis=-1),
     )
-
-
-def resolve_network(
-    program: HybridProgram,
-    class_name: str,
-    cluster: ClusterSpec,
-    config: Configuration,
-    compute_end_s: np.ndarray,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-) -> NetworkOutcome:
-    """Resolve the communication phase for every (iteration, process).
-
-    ``compute_end_s`` has shape ``(S, n)``: per-process compute completion
-    (including memory stalls) relative to the iteration start.
-    """
-    s_iters, n = compute_end_s.shape
-    msgs = _message_counts(program, n)
-    sizes = offsets = None
-    if msgs > 0:
-        nu = program.bytes_per_message(class_name, n)
-        sizes, offsets = draw_network(rng, s_iters, n, msgs, nu)
-    return network_from_draws(cluster, n, msgs, compute_end_s, sizes, offsets)

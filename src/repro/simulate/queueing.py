@@ -51,7 +51,7 @@ def _lindley_cumulative(
     request of every row never waits.  Rows are independent queues; any
     leading batch axes are flattened into rows, so the per-row arithmetic
     (and therefore the bit pattern of every wait) is identical no matter
-    how many lanes are stacked in front.
+    how many rows are stacked in front.
 
     Also validates arrival ordering (on the gaps it needs anyway) and
     reuses the gap buffer for the scan — the kernel sits on the hot path
@@ -76,8 +76,8 @@ def lindley_waits(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     ----------
     arrivals:
         Arrival times, shape ``(R,)``, ``(B, R)`` or any ``(..., R)`` —
-        the last axis is the request axis, every leading axis an
-        independent batch lane.  Each row must be sorted ascending
+        the last axis is the request axis, every leading axis indexes
+        independent queues.  Each row must be sorted ascending
         (requests are served in arrival order).
     services:
         Service times aligned with ``arrivals``.

@@ -15,11 +15,6 @@ Per iteration (paper Listing 1):
 Wall time is the sum of iteration times plus an MPI/OpenMP start-up cost.
 Energy is the exact integral of the true node power model over the state
 occupancy.  Hardware counters and the message log are accumulated exactly.
-
-The run is staged as *draw* steps (which consume the run's named RNG
-stream in a fixed order) and *resolve* steps (pure array arithmetic);
-:mod:`repro.simulate.batched` replays the same stages with a leading lane
-axis, sharing :func:`finalize_run` so the two backends cannot drift.
 """
 
 from __future__ import annotations
@@ -27,15 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.machines.spec import ClusterSpec, Configuration
-from repro.simulate.cpu import ComputeDemand, demand_from_draws, draw_compute
+from repro.simulate.cpu import compute_demand
 from repro.simulate.faults import FaultModel
-from repro.simulate.memory import MemoryOutcome, draw_memory, memory_from_draws
-from repro.simulate.network import (
-    NetworkOutcome,
-    _message_counts,
-    draw_network,
-    network_from_draws,
-)
+from repro.simulate.memory import resolve_memory
+from repro.simulate.network import resolve_network
 from repro.simulate.noise import NoiseModel
 from repro.simulate.power import integrate_energy
 from repro.simulate.results import (
@@ -56,47 +46,60 @@ def _startup_time_s(config: Configuration, rng: np.random.Generator, noise: Nois
     return base * rng.lognormal(0.0, 0.1)
 
 
-def apply_straggler(
-    compute_time_s: np.ndarray,
-    stall_time_s: np.ndarray,
-    faults: FaultModel | None,
-    nodes: int,
-) -> None:
-    """Throttle the straggler node's compute and memory time in place.
-
-    ``compute_time_s``/``stall_time_s`` are the ``(S, n, c)`` views of one
-    run (a lane slice, in the batched core); thermal throttling slows
-    both the pipeline and the memory subsystem of the victim node.
-    """
-    if faults is not None and faults.active and faults.straggler_node < nodes:
-        k = faults.straggler_node
-        compute_time_s[:, k, :] *= faults.straggler_factor
-        stall_time_s[:, k, :] *= faults.straggler_factor
-
-
-def finalize_run(
+def execute(
     program: HybridProgram,
     class_name: str,
     cluster: ClusterSpec,
     config: Configuration,
-    demand: ComputeDemand,
-    mem: MemoryOutcome,
-    net: NetworkOutcome,
-    thread_time: np.ndarray,
-    iteration_time: np.ndarray,
-    wall_time: float,
-    stall_frequency_hz: float | None,
-    collect_trace: bool,
+    rng: np.random.Generator,
+    noise: NoiseModel | None = None,
+    stall_frequency_hz: float | None = None,
+    collect_trace: bool = False,
+    faults: "FaultModel | None" = None,
 ) -> RunResult:
-    """Accumulate one run's observables from its resolved phase arrays.
+    """Execute one run and return everything the testbed can observe.
 
-    All arrays are the single-run ``(S, n, c)`` / ``(S, n)`` / ``(S,)``
-    shapes; the batched core calls this once per lane on contiguous lane
-    views, so counters, phases and energy are reduced in exactly the
-    scalar order (bit-identical results).
+    ``stall_frequency_hz`` enables phase-aware DVFS (cores throttle to it
+    while stalled on memory); ``collect_trace`` attaches the per-iteration
+    phase timeline to the result; ``faults`` injects degraded-hardware
+    behaviour (see :mod:`repro.simulate.faults`).
     """
+    cluster.validate_configuration(config)
+    if stall_frequency_hz is not None:
+        cluster.validate_configuration(
+            Configuration(config.nodes, config.cores, stall_frequency_hz)
+        )
+    noise = noise if noise is not None else NoiseModel()
     n, c = config.nodes, config.cores
     total_cores = n * c
+    s_iters = program.iterations(class_name)
+
+    demand = compute_demand(program, class_name, cluster, config, noise, rng)
+    mem = resolve_memory(demand, cluster, config, rng, stall_frequency_hz)
+
+    # fault injection: thermal throttling slows both the pipeline and the
+    # memory subsystem of the straggler node
+    if faults is not None and faults.active and faults.straggler_node < n:
+        k = faults.straggler_node
+        demand.compute_time_s[:, k, :] *= faults.straggler_factor
+        mem.stall_time_s[:, k, :] *= faults.straggler_factor
+
+    # fork/join: per-process compute phase ends with its slowest thread
+    thread_time = demand.compute_time_s + mem.stall_time_s  # (S, n, c)
+    compute_end = thread_time.max(axis=2)  # (S, n)
+
+    net = resolve_network(
+        program, class_name, cluster, config, compute_end, noise, rng
+    )
+
+    # protocol stack processing extends the process's critical path
+    process_end = net.complete_s + net.cpu_cost_s  # (S, n)
+    # background OS daemons steal time from individual nodes
+    process_end = process_end + noise.daemon_time(rng, process_end)
+    # bulk-synchronous barrier closes the iteration
+    iteration_time = process_end.max(axis=1) + noise.barrier_skews(rng, (s_iters,))
+
+    wall_time = float(iteration_time.sum()) + _startup_time_s(config, rng, noise)
 
     # ------------------------------------------------------------------
     # hardware counters (per-core averages, paper Eq. 2-7 form)
@@ -132,7 +135,6 @@ def finalize_run(
     # energy: exact integral of the true power model
     # ------------------------------------------------------------------
     active_per_thread = demand.compute_time_s.sum(axis=0)  # (n, c)
-    active_per_thread = active_per_thread.copy()
     active_per_thread[:, 0] += net.cpu_cost_s.sum(axis=0)  # MPI thread
     stall_per_thread = mem.stall_time_s.sum(axis=0)  # (n, c)
     net_per_process = net.net_time_s.sum(axis=0)  # (n,)
@@ -169,82 +171,4 @@ def finalize_run(
         messages=messages,
         phases=phases,
         trace=trace,
-    )
-
-
-def execute(
-    program: HybridProgram,
-    class_name: str,
-    cluster: ClusterSpec,
-    config: Configuration,
-    rng: np.random.Generator,
-    noise: NoiseModel | None = None,
-    stall_frequency_hz: float | None = None,
-    collect_trace: bool = False,
-    faults: "FaultModel | None" = None,
-) -> RunResult:
-    """Execute one run and return everything the testbed can observe.
-
-    ``stall_frequency_hz`` enables phase-aware DVFS (cores throttle to it
-    while stalled on memory); ``collect_trace`` attaches the per-iteration
-    phase timeline to the result; ``faults`` injects degraded-hardware
-    behaviour (see :mod:`repro.simulate.faults`).
-    """
-    cluster.validate_configuration(config)
-    if stall_frequency_hz is not None:
-        cluster.validate_configuration(
-            Configuration(config.nodes, config.cores, stall_frequency_hz)
-        )
-    noise = noise if noise is not None else NoiseModel()
-    n, c = config.nodes, config.cores
-    s_iters = program.iterations(class_name)
-
-    # --- draw + resolve the compute and memory phases -------------------
-    cpu_draws = draw_compute(program, class_name, config, noise, rng)
-    demand = demand_from_draws(
-        program, class_name, cluster, n, c, config.frequency_hz, cpu_draws
-    )
-    arrival_fractions = draw_memory(rng, s_iters, n, c)
-    mem = memory_from_draws(
-        demand, cluster, n, c, config.frequency_hz, stall_frequency_hz,
-        arrival_fractions,
-    )
-
-    # fault injection: a throttled node runs its compute and memory slower
-    apply_straggler(demand.compute_time_s, mem.stall_time_s, faults, n)
-
-    # fork/join: per-process compute phase ends with its slowest thread
-    thread_time = demand.compute_time_s + mem.stall_time_s  # (S, n, c)
-    compute_end = thread_time.max(axis=2)  # (S, n)
-
-    # --- draw + resolve the communication phase -------------------------
-    msgs = _message_counts(program, n)
-    sizes = offsets = None
-    if msgs > 0:
-        nu = program.bytes_per_message(class_name, n)
-        sizes, offsets = draw_network(rng, s_iters, n, msgs, nu)
-    net = network_from_draws(cluster, n, msgs, compute_end, sizes, offsets)
-
-    # protocol stack processing extends the process's critical path
-    process_end = net.complete_s + net.cpu_cost_s  # (S, n)
-    # background OS daemons steal time from individual nodes
-    process_end = process_end + noise.daemon_time(rng, process_end)
-    # bulk-synchronous barrier closes the iteration
-    iteration_time = process_end.max(axis=1) + noise.barrier_skews(rng, (s_iters,))
-
-    wall_time = float(iteration_time.sum()) + _startup_time_s(config, rng, noise)
-
-    return finalize_run(
-        program,
-        class_name,
-        cluster,
-        config,
-        demand,
-        mem,
-        net,
-        thread_time,
-        iteration_time,
-        wall_time,
-        stall_frequency_hz,
-        collect_trace,
     )

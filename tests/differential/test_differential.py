@@ -1,16 +1,13 @@
 """Differential harness: scalar model vs vectorized lanes vs simulator.
 
-Four implementations of the paper's model must agree:
+Three implementations of the paper's model must agree:
 
 * ``HybridProgramModel.predict`` — the scalar reference path;
 * ``evaluate_many`` — the vectorized engine the space sweeps run on
   (every lane must equal the scalar prediction at that configuration,
   including saturated/clamped network lanes);
-* the scalar simulator — ground truth the model was calibrated against,
-  which must stay within validation-level tolerance of the predictions;
-* the batched simulator core — which must reproduce the scalar
-  simulator **bit-for-bit** per lane (the resilience layer keys chaos
-  decisions by exact float values, so "1e-9-close" is not close enough).
+* the simulator — ground truth the model was calibrated against,
+  which must stay within validation-level tolerance of the predictions.
 
 Configurations are drawn by hypothesis over (machine, workload, n, c, f),
 including node counts far past the physical testbeds so the M/G/1
@@ -21,20 +18,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.vectorized import evaluate_many
-from repro.machines.spec import Configuration
-from repro.simulate import (
-    FaultModel,
-    RunRequest,
-    SimulatedCluster,
-    degraded_memory,
-    degraded_network,
-)
 from repro.workloads.registry import get_program
 from tests.conftest import config
 
@@ -235,130 +223,3 @@ class TestModelVsSimulator:
         pred = model.predict(cfg)
         assert pred.time_s == pytest.approx(t_meas, rel=0.40)
         assert pred.energy_j == pytest.approx(e_meas, rel=0.40)
-
-
-def _assert_run_bit_identical(batched, scalar) -> None:
-    """Every observable field of the two RunResults must be *equal*.
-
-    The result records are frozen dataclasses of floats, so ``==`` is
-    exact bit-level comparison — far stricter than LANE_RTOL, and the
-    actual contract: ``resilience.value_token`` fingerprints results by
-    exact float repr, so any last-bit drift would divert chaos schedules.
-    """
-    assert batched.program == scalar.program
-    assert batched.class_name == scalar.class_name
-    assert batched.cluster == scalar.cluster
-    assert batched.config == scalar.config
-    assert batched.wall_time_s == scalar.wall_time_s
-    assert batched.energy == scalar.energy
-    assert batched.counters == scalar.counters
-    assert batched.messages == scalar.messages
-    assert batched.phases == scalar.phases
-    if scalar.trace is None:
-        assert batched.trace is None
-    else:
-        assert batched.trace is not None
-        for name in ("compute_s", "memory_s", "network_s", "iteration_s"):
-            assert np.array_equal(
-                getattr(batched.trace, name), getattr(scalar.trace, name)
-            ), name
-
-
-def _assert_backends_agree(sim: SimulatedCluster, requests) -> None:
-    """run_batch must give bit-identical results on both backends."""
-    scalar = sim.run_batch(requests, backend="scalar")
-    batched = sim.run_batch(requests, backend="batched")
-    assert len(scalar) == len(batched) == len(requests)
-    for b, s in zip(batched, scalar):
-        _assert_run_bit_identical(b, s)
-
-
-class TestScalarVsBatchedSim:
-    """Fourth differential lane: scalar simulator vs batched core.
-
-    The batched core stacks lanes through one NumPy pipeline; every lane
-    must come back bit-identical to the standalone scalar run with the
-    same named RNG stream — across mixed configurations, repetition
-    indices, DVFS throttle points, trace collection, fault injection and
-    spec-level chaos degradations.
-    """
-
-    @given(data=st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_mixed_batches_match_scalar_runs(self, xeon_sim, arm_sim, data):
-        on_xeon = data.draw(st.booleans(), label="xeon")
-        sim = xeon_sim if on_xeon else arm_sim
-        program = get_program("SP" if on_xeon else "CP")
-        freqs = sorted(sim.spec.node.core.frequencies_hz)
-        specs = data.draw(
-            st.lists(
-                st.tuples(
-                    st.sampled_from([1, 2, 4, 8]),
-                    st.sampled_from([1, 2, sim.spec.node.max_cores]),
-                    st.sampled_from(freqs),
-                    st.integers(min_value=0, max_value=3),
-                    st.booleans(),  # throttle stalls to fmin?
-                ),
-                min_size=2,
-                max_size=6,
-            ),
-            label="requests",
-        )
-        requests = [
-            RunRequest(
-                program,
-                Configuration(nodes=n, cores=c, frequency_hz=f),
-                run_index=run,
-                stall_frequency_hz=freqs[0] if throttle and f > freqs[0] else None,
-            )
-            for n, c, f, run, throttle in specs
-        ]
-        _assert_backends_agree(sim, requests)
-
-    def test_replication_batch_matches_individual_runs(self, xeon_sim):
-        """run_many (the validation campaign's shape) vs one-at-a-time."""
-        program = get_program("SP")
-        cfg = config(4, 8, 1.8)
-        many = xeon_sim.run_many(program, cfg, repetitions=5)
-        for i, result in enumerate(many):
-            _assert_run_bit_identical(
-                result, xeon_sim.run(program, cfg, run_index=i)
-            )
-
-    def test_traced_lanes_match(self, arm_sim):
-        program = get_program("CP")
-        requests = [
-            RunRequest(program, config(2, 4, 1.4), run_index=i, collect_trace=True)
-            for i in range(3)
-        ]
-        _assert_backends_agree(arm_sim, requests)
-
-    def test_saturated_contention_matches(self, xeon_sim):
-        """Heavy-contention lanes: full node count, full cores, choked
-        memory and network so the Lindley queues run deep backlogs."""
-        spec = degraded_network(degraded_memory(xeon_sim.spec, 0.05), 0.05)
-        sim = SimulatedCluster(spec, root_seed=xeon_sim.root_seed)
-        program = get_program("SP")
-        requests = [
-            RunRequest(program, config(8, 8, 1.8), run_index=i) for i in range(3)
-        ]
-        scalar = sim.run_batch(requests, backend="scalar")
-        _assert_backends_agree(sim, requests)
-        # the degradation must actually bite (deep queues, not a no-op)
-        healthy = xeon_sim.run(program, config(8, 8, 1.8))
-        assert scalar[0].wall_time_s > 2.0 * healthy.wall_time_s
-
-    def test_chaos_degraded_faulty_lanes_match(self, arm_sim):
-        """Straggler faults + degraded DRAM: the chaos-path arithmetic
-        (apply_straggler, rescaled bandwidth) stays lane-exact too."""
-        spec = degraded_memory(arm_sim.spec, 0.5)
-        sim = SimulatedCluster(
-            spec,
-            root_seed=arm_sim.root_seed,
-            faults=FaultModel(straggler_node=1, straggler_factor=1.6),
-        )
-        program = get_program("CP")
-        requests = [
-            RunRequest(program, config(4, 4, 1.4), run_index=i) for i in range(3)
-        ] + [RunRequest(program, config(2, 2, 0.5), run_index=0)]
-        _assert_backends_agree(sim, requests)

@@ -89,27 +89,19 @@ def test_rejects_unknown_cluster():
         main(["netpipe", "--cluster", "power9"])
 
 
-def test_sim_backend_flag_parses_and_rejects_unknown():
-    from repro.cli.main import _build_parser
+@pytest.mark.parametrize("command", ["characterize", "validate"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_repetitions_below_one_rejected_at_parse_time(capsys, tmp_path, command, value):
+    argv = [command, "--cluster", "arm", "--program", "CP", "--repetitions", value]
+    if command == "characterize":
+        argv += ["--output", str(tmp_path / "inputs.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--repetitions: must be >= 1" in capsys.readouterr().err
 
-    args = _build_parser().parse_args(["--sim-backend", "scalar", "systems"])
-    assert args.sim_backend == "scalar"
-    assert _build_parser().parse_args(["systems"]).sim_backend == "auto"
-    with pytest.raises(SystemExit):
-        _build_parser().parse_args(["--sim-backend", "gpu", "systems"])
 
-
-def test_sim_backend_flag_reaches_the_cluster(capsys):
-    """Both backends drive the same traced run to identical output —
-    the bit-identity contract, observed end to end through the CLI."""
-    outputs = []
-    for backend in ("scalar", "batched"):
-        argv = [
-            "--sim-backend", backend,
-            "trace", "--cluster", "xeon", "--program", "SP",
-            "--config", "1,2,1.8",
-        ]
-        assert main(argv) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert "SP on xeon" in outputs[0]
+def test_removed_simulator_core_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["--sim-backend", "scalar", "systems"])
+    assert exc.value.code == 2

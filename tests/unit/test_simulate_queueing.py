@@ -61,8 +61,8 @@ class TestLindley:
             lindley_waits(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
     def test_nd_lanes_match_rows(self):
-        # the batched core stacks lanes as leading axes: any (..., R)
-        # shape resolves, each row independently
+        # the memory and switch queues pass (S, rows, R) stacks: any
+        # (..., R) shape resolves, each row independently
         rng = np.random.default_rng(7)
         arrivals = np.sort(rng.uniform(0, 10, size=(2, 3, 20)), axis=-1)
         services = rng.exponential(0.3, size=(2, 3, 20))

@@ -239,8 +239,8 @@ def check_cli_coverage() -> bool:
         print("  FAIL 'repro --help' exited non-zero")
         return False
     # argparse renders choice sets as "{a,b,c,...}"; the subcommand set
-    # is the group containing "systems" (option choices like
-    # --sim-backend render the same way)
+    # is the group containing "systems" (an option's choice set would
+    # render the same way)
     groups = re.findall(r"\{([a-z0-9,\-\s]+)\}", proc.stdout)
     commands = next(
         (
