@@ -249,6 +249,8 @@ class NetworkSpec:
             raise ValueError("protocol efficiency must be in (0, 1]")
         if self.link_bytes_per_s <= 0:
             raise ValueError("link bandwidth must be positive")
+        if self.per_message_overhead_s < 0:
+            raise ValueError("per-message overhead must be non-negative")
 
     @property
     def effective_bandwidth(self) -> float:

@@ -5,13 +5,27 @@ nodes and reports per-size latency and throughput.  The paper uses it to
 establish that MPI over TCP reaches only ~90 Mbps on the 100 Mbps link —
 the ``B`` (communication throughput) input of the model.
 
-The exchange is simulated on the event engine at MTU-frame granularity:
-each frame is serialized by the sending NIC (per-message protocol overhead
-is charged once, on the first frame), store-and-forwarded by the switch,
-and delivered through the receiving link; frames pipeline across the two
-servers, so large transfers asymptote to the link's effective bandwidth
-while small ones are dominated by the protocol latency floor — reproducing
-Fig. 3's two regimes.
+One message is simulated at MTU-frame granularity through two FIFO
+servers: the sending NIC serializes each frame, the switch
+store-and-forwards it, and the receiving link serializes it again.
+Frames pipeline across the two servers, so large transfers asymptote to
+the link's effective bandwidth while small ones are dominated by the
+protocol latency floor — reproducing Fig. 3's two regimes.
+
+Every frame has the same service time, so each server is a plain
+recursion over its arrivals in order:
+``completion = max(arrival, busy_until) + frame_link_time``.  Frames
+1..n−1 are posted to the sender at t=0 and frame 0 at
+t=``per_message_overhead_s`` (the per-message protocol overhead is
+charged once, on the first frame).  A frame reaches the receiver at
+``(post + (completion − post)) + forwarding_latency_s``; the inner sum
+keeps the rounding of an event scheduled at an absolute time, so the
+latencies are bit-identical to a discrete-event run of the same two
+servers (:mod:`repro.simulate.engine`, the test suite's oracle).
+
+Known quirk of this model: frames 1..n−1 overtake frame 0 while it pays
+the overhead, so a 2-frame 3000 B message has exactly the one-way
+latency of a 1500 B one (436.67 µs on the ARM cluster).
 """
 
 from __future__ import annotations
@@ -23,7 +37,6 @@ import numpy as np
 from repro import resilience
 from repro import rng as rng_mod
 from repro.machines.spec import ClusterSpec
-from repro.simulate.engine import FifoServer, Simulator
 from repro.units import mbps, to_mbps
 
 #: Default NetPIPE sweep: 1 B to 16 MiB, powers of two.
@@ -53,41 +66,21 @@ class NetpipeResult:
 
 
 def _one_way_time(cluster: ClusterSpec, size: float) -> float:
-    """Event-driven one-way transfer time for one message."""
+    """One-way transfer time for one message through sender and receiver."""
     nic = cluster.node.nic
-    switch = cluster.switch
     frames = max(1, int(np.ceil(size / nic.mtu_bytes)))
-    frame_bytes = size / frames
+    frame_link_time = (size / frames) / nic.effective_bandwidth
+    forwarding = cluster.switch.forwarding_latency_s
 
-    sim = Simulator()
-    sender = FifoServer(sim)
-    receiver = FifoServer(sim)
-    done: list[float] = []
-
-    frame_link_time = frame_bytes / nic.effective_bandwidth
-
-    def deliver(_wait: float, completion: float) -> None:
-        done.append(completion)
-
-    def at_switch(_wait: float, _completion: float) -> None:
-        # store-and-forward, then the receiving link serializes the frame
-        def after_forward() -> None:
-            receiver.submit(frame_link_time, deliver)
-
-        sim.schedule(switch.forwarding_latency_s, after_forward)
-
-    def post_frame(index: int) -> None:
-        overhead = nic.per_message_overhead_s if index == 0 else 0.0
-
-        def start() -> None:
-            sender.submit(frame_link_time, at_switch)
-
-        sim.schedule(overhead, start)
-
-    for k in range(frames):
-        post_frame(k)
-    sim.run()
-    return max(done)
+    # Frames in sender order: frame 0 is posted last, after its overhead.
+    # Each leaves the sender a whole frame time after the one before, so
+    # the receiver serves them in the same order.
+    sent = received = 0.0
+    for post in [0.0] * (frames - 1) + [nic.per_message_overhead_s]:
+        sent = max(post, sent) + frame_link_time
+        arrival = (post + (sent - post)) + forwarding
+        received = max(arrival, received) + frame_link_time
+    return received
 
 
 def run_netpipe(
@@ -98,6 +91,15 @@ def run_netpipe(
     root_seed: int = rng_mod.DEFAULT_ROOT_SEED,
 ) -> NetpipeResult:
     """Run the characterization sweep on a cluster's network."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if len(sizes) == 0:
+        raise ValueError("NetPIPE needs at least one message size")
+    bad = [size for size in sizes if not 0 <= size < np.inf]
+    if bad:
+        raise ValueError(
+            f"message sizes must be finite and non-negative, got {bad}"
+        )
     if rng is None:
         rng = rng_mod.derive(root_seed, "netpipe", cluster.name)
     latencies = np.empty(len(sizes))

@@ -1,13 +1,14 @@
-"""Minimal discrete-event simulation core.
+"""Minimal discrete-event simulation core — a reference oracle only.
 
-The fast path of the simulator resolves whole iterations with vectorized
-queueing (:mod:`repro.simulate.queueing`); this module provides the
-classic event-heap engine used where per-event sequencing matters:
+No production code path runs on this engine: the simulator resolves whole
+iterations with vectorized queueing (:mod:`repro.simulate.queueing`), and
+NetPIPE (:mod:`repro.measure.netpipe`) replays its two FIFO servers as a
+plain float recursion.  The engine stays as the event-for-event oracle
+those closed forms are checked against:
 
-* the NetPIPE-style ping-pong characterization (:mod:`repro.measure.netpipe`),
-  which is inherently request/response;
-* cross-checks in the test suite that the closed-form Lindley solution and
-  an actual FIFO server simulation agree event-for-event.
+* the queueing property tests (Lindley solution vs an actual FIFO server);
+* the NetPIPE oracle test (recursion vs a frame-by-frame event run);
+* the Lindley-vs-event-engine gate in ``benchmarks/bench_sim_throughput.py``.
 
 The engine is deliberately small: a time-ordered heap of callbacks plus a
 FIFO single-server resource.  Determinism is guaranteed by a monotone
@@ -20,8 +21,6 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
-
-from repro import obs
 
 
 @dataclass(order=True)
@@ -71,25 +70,15 @@ class Simulator:
 
         Returns the final simulation time.
         """
-        # counters are aggregated once per run() call, not per event, so
-        # the event loop itself stays instrumentation-free
-        processed_before = self._events_processed
-        try:
-            while self._heap:
-                if until is not None and self._heap[0].time > until:
-                    self.now = until
-                    return self.now
-                event = heapq.heappop(self._heap)
-                self.now = event.time
-                self._events_processed += 1
-                event.callback(*event.args)
-            return self.now
-        finally:
-            if obs.metrics_enabled():
-                obs.add(
-                    "simulate.events_processed",
-                    self._events_processed - processed_before,
-                )
+        while self._heap:
+            if until is not None and self._heap[0].time > until:
+                self.now = until
+                return self.now
+            event = heapq.heappop(self._heap)
+            self.now = event.time
+            self._events_processed += 1
+            event.callback(*event.args)
+        return self.now
 
 
 class FifoServer:

@@ -144,6 +144,16 @@ class TestNetworkSpec:
                 cpu_cost_per_byte_s=0.0,
             )
 
+    def test_rejects_negative_overhead(self):
+        with pytest.raises(ValueError, match="overhead"):
+            NetworkSpec(
+                link_bytes_per_s=1e6,
+                per_message_overhead_s=-1e-6,
+                protocol_efficiency=0.9,
+                cpu_cost_per_message_s=0.0,
+                cpu_cost_per_byte_s=0.0,
+            )
+
 
 class TestConfiguration:
     def test_label(self):

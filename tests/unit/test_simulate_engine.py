@@ -1,8 +1,12 @@
 """Discrete-event engine and FIFO server."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import repro
 from repro.simulate.engine import FifoServer, Simulator
 from repro.simulate.queueing import lindley_waits
 
@@ -116,3 +120,28 @@ class TestFifoServer:
             sim.schedule_at(t, submit, k)
         sim.run()
         assert np.allclose(waits, lindley_waits(arrivals, services))
+
+
+def _imported_modules(path, src):
+    """Absolute names of every module a source file imports from."""
+    package = ["repro", *path.relative_to(src).parent.parts]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_engine_is_reference_only():
+    """No production module runs on the event engine; it is a test oracle."""
+    src = pathlib.Path(repro.__file__).parent
+    importers = [
+        path.relative_to(src).as_posix()
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "simulate" / "engine.py"
+        and "repro.simulate.engine" in set(_imported_modules(path, src))
+    ]
+    assert importers == []
