@@ -55,7 +55,7 @@ from typing import Any
 import numpy as np
 
 from repro import obs
-from repro.core.vectorized import VectorizedEvaluation, model_fingerprint
+from repro.core.vectorized import VectorizedEvaluation, model_identity
 from repro.resilience.checkpoint import (
     atomic_write_bytes,
     atomic_write_text,
@@ -140,7 +140,7 @@ def entry_identity(
     return {
         "kind": KIND,
         "format_version": FORMAT_VERSION,
-        "model": repr(model_fingerprint(model)),
+        "model": model_identity(model),
         "space": _space_identity(space),
         "class_name": class_name,
         "queueing": queueing,

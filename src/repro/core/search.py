@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from repro import obs
 from repro.core.model import HybridProgramModel, Prediction
-from repro.core.vectorized import evaluate_many, model_fingerprint
+from repro.core.vectorized import evaluate_many, model_identity
 from repro.machines.spec import Configuration
 from repro.resilience.checkpoint import (
     Checkpoint,
@@ -122,7 +122,7 @@ def _search_checkpoint(
         "search",
         fingerprint(
             {
-                "model": repr(model_fingerprint(model)),
+                "model": model_identity(model),
                 "space": [(c.nodes, c.cores, c.frequency_hz) for c in configs],
                 "kind": kind,
                 "constraint": constraint,

@@ -24,6 +24,20 @@ from typing import Mapping
 import numpy as np
 
 
+def nearest_key(
+    table: Mapping[tuple[int, float], object], c: int, f_hz: float
+) -> tuple[int, float]:
+    """The key of a ``(c, f)`` table nearest to ``(c, f_hz)``.
+
+    Nearest core count first, then nearest frequency; of equally near
+    keys, the first in the table's iteration order wins.  This is the one
+    rule :meth:`PowerTable.active`, :meth:`PowerTable.stall` and
+    :meth:`repro.core.params.ModelInputs.artefacts` apply to a request
+    that is not a key (an off-DVFS frequency); exact keys never reach it.
+    """
+    return min(table, key=lambda k: (abs(k[0] - c), abs(k[1] - f_hz)))
+
+
 @dataclass(frozen=True)
 class NodePowerModel:
     """True power behaviour of one node.
@@ -117,7 +131,8 @@ class PowerTable:
     attribute), plus scalar memory / network / idle power.
 
     Keys of ``core_active_w``/``core_stall_w`` are ``(c, f_hz)`` with ``f_hz``
-    rounded to the spec's DVFS points.
+    rounded to the spec's DVFS points.  A lookup at a key is one dict
+    access; any other ``(c, f)`` resolves through :func:`nearest_key`.
     """
 
     core_active_w: Mapping[tuple[int, float], float]
@@ -129,7 +144,11 @@ class PowerTable:
     def _lookup(
         self, table: Mapping[tuple[int, float], float], c: int, f_hz: float
     ) -> float:
-        key = min(table, key=lambda k: (abs(k[0] - c), abs(k[1] - f_hz)))
+        try:
+            return table[(c, f_hz)]
+        except KeyError:
+            pass
+        key = nearest_key(table, c, f_hz)
         if key[0] != c:
             raise KeyError(f"no power characterization for c={c}")
         return table[key]

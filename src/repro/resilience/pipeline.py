@@ -37,7 +37,7 @@ from repro.core.model import HybridProgramModel
 from repro.core.vectorized import (
     VectorizedEvaluation,
     evaluate_many,
-    model_fingerprint,
+    model_identity,
 )
 from repro.machines.spec import Configuration
 from repro.resilience import InstrumentStats, ResilienceContext
@@ -84,7 +84,7 @@ def space_digest(
     """Fingerprint of one space-evaluation campaign's full identity."""
     return fingerprint(
         {
-            "model": repr(model_fingerprint(model)),
+            "model": model_identity(model),
             "space": [(c.nodes, c.cores, c.frequency_hz) for c in configs],
             "class_name": class_name,
             "chunk_size": chunk_size,
