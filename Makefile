@@ -11,7 +11,8 @@ test:
 # mirror of .github/workflows/ci.yml: lint + hygiene + docstring gates,
 # tier-1 tests (property suite on the smoke hypothesis profile), the
 # instrumentation-overhead, resilience-overhead, vectorized-speedup,
-# parallel-speedup, sim-throughput and serve-throughput gates, the
+# planner-path (bench_parallel_speedup.py), sim-throughput and
+# serve-throughput gates, the
 # benchmark trend gate, then the docs gate (the CI job additionally runs
 # the tier-1 suite under pytest-cov with a threshold on repro.core —
 # incl. repro.core.planner — / repro.obs / repro.mg1 / repro.resilience

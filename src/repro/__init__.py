@@ -62,10 +62,10 @@ from repro.simulate import (
 )
 from repro.core import (
     ConfigSpace,
-    ExecutionPlan,
     HybridProgramModel,
     ModelInputs,
     ParetoPoint,
+    PlannerConfig,
     Prediction,
     ResultCache,
     WhatIf,
@@ -73,8 +73,8 @@ from repro.core import (
     evaluate_space,
     min_energy_within_deadline,
     min_time_within_budget,
-    parallel_plan,
     pareto_frontier,
+    planner_config,
     ucr_decomposition,
 )
 from repro.analysis import ValidationCampaign, validate_program
@@ -128,10 +128,10 @@ __all__ = [
     "min_time_within_budget",
     "ucr_decomposition",
     "WhatIf",
-    # parallel execution + persistent result cache
-    "ExecutionPlan",
+    # execution config + persistent result cache
+    "PlannerConfig",
     "ResultCache",
-    "parallel_plan",
+    "planner_config",
     # analysis
     "ValidationCampaign",
     "validate_program",

@@ -24,7 +24,6 @@ from repro.analysis.validation import validate_program
 from repro.core.configspace import ConfigSpace, evaluate_space
 from repro.core.model import HybridProgramModel
 from repro.core.pareto import pareto_frontier
-from repro.core.planner import PLAN_MODES
 from repro.core.whatif import WhatIf
 from repro.machines.registry import get_cluster, list_clusters
 from repro.machines.spec import Configuration
@@ -76,30 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "text format here ('-' for stdout)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard large configuration-space sweeps across N worker "
-        "processes (results stay bit-identical — see docs/SCALING.md)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="PATH",
         help="persist configuration-space results in a fingerprinted "
         "on-disk cache at PATH; warm sweeps are served from it and any "
         "model/space change invalidates the entry (docs/SCALING.md)",
-    )
-    parser.add_argument(
-        "--plan",
-        choices=PLAN_MODES,
-        default=None,
-        metavar="MODE",
-        help="execution planner mode for configuration-space sweeps: "
-        "'auto' picks scalar/vectorized/sharded/cached from a calibrated "
-        "cost model, the others force one strategy — results stay within "
-        "the pinned tolerances either way (docs/PLANNER.md)",
     )
     parser.add_argument(
         "--max-block-bytes",
@@ -246,50 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=_parse_config, required=True, metavar="n,c,fGHz")
 
     p = sub.add_parser(
-        "plan",
-        help="execution planner utilities: calibrate the cost model from "
-        "bench reports, or explain a decision (docs/PLANNER.md)",
-    )
-    plan_sub = p.add_subparsers(dest="plan_command", required=True)
-    pc = plan_sub.add_parser(
-        "calibrate",
-        help="fit the planner cost model from the committed bench JSONs",
-    )
-    pc.add_argument(
-        "--bench-dir",
-        default="benchmarks/out",
-        metavar="DIR",
-        help="directory holding vectorized_speedup.json (+ optional "
-        "parallel_speedup.json)",
-    )
-    pc.add_argument(
-        "--output",
-        default="planner_calibration.json",
-        metavar="CALIBRATION.json",
-        help="where to write the calibration (point "
-        "REPRO_PLANNER_CALIBRATION here to use it)",
-    )
-    pe = plan_sub.add_parser(
-        "explain",
-        help="print the strategy the planner would pick and why",
-    )
-    pe.add_argument(
-        "--configs", type=int, required=True, metavar="N",
-        help="sweep size in configurations",
-    )
-    pe.add_argument(
-        "--plan-workers", type=int, default=1, metavar="N",
-        help="worker count of the ambient plan being considered",
-    )
-    pe.add_argument(
-        "--calibration",
-        default=None,
-        metavar="CALIBRATION.json",
-        help="use this saved calibration instead of "
-        "REPRO_PLANNER_CALIBRATION / the fallback table",
-    )
-
-    p = sub.add_parser(
         "pipeline",
         help="content-addressed reproduction DAG: run stages incrementally, "
         "inspect staleness, or reproduce the whole paper (docs/PIPELINE.md)",
@@ -332,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run up to N independent stages concurrently (each stage's "
-        "internal sweeps still honor the global --workers plan)",
+        "sweeps still honor the global --cache-dir/--max-block-bytes)",
     )
     pr.add_argument(
         "--force",
@@ -829,52 +766,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.core import planner
-
-    if args.plan_command == "calibrate":
-        try:
-            cost_model = planner.calibrate(args.bench_dir)
-        except planner.CalibrationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        path = planner.save_cost_model(cost_model, args.output)
-        print(f"wrote calibration -> {path}")
-        print(
-            f"  scalar {cost_model.scalar_per_config_s:.3e} s/config, "
-            f"vectorized {cost_model.vectorized_base_s:.3e} s + "
-            f"{cost_model.vectorized_per_config_s:.3e} s/config"
-        )
-        print(
-            f"  shard dispatch {cost_model.shard_dispatch_s:.3e} s + "
-            f"{cost_model.shard_overhead_per_config_s:.3e} s/config, "
-            f"calibration host cpus {cost_model.cpus}"
-        )
-        return 0
-    assert args.plan_command == "explain"
-    cost_model = None
-    if args.calibration is not None:
-        try:
-            cost_model = planner.load_cost_model(args.calibration)
-        except planner.CalibrationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    decision = planner.decide(
-        args.configs,
-        workers=args.plan_workers,
-        mode=args.plan or "auto",
-        cost_model=cost_model,
-        max_block_bytes=args.max_block_bytes,
-    )
-    print(f"strategy: {decision.strategy}")
-    print(f"  configs {decision.size}, effective workers {decision.workers}")
-    print(f"  streamed: {decision.streamed}")
-    print(f"  reason: {decision.reason}")
-    for name, estimate in decision.estimates:
-        print(f"  estimate {name}: {estimate:.3e} s")
-    return 0
-
-
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -997,16 +888,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.app import DEFAULT_ENGINE_WORKERS, run_server
 
     # The service's warm tier is the only ResultCache on the global
-    # --cache-dir: the ambient plan _dispatch_planned installs for serve
-    # carries --workers only (large per-request sweeps still shard), so
-    # each fresh result is written to disk exactly once.
+    # --cache-dir (_dispatch_planned installs none for serve), so each
+    # fresh result is written to disk exactly once.
     return run_server(
         host=args.host,
         port=args.port,
         rate=args.rate,
         burst=args.burst,
         cache_dir=args.cache_dir,
-        plan=args.plan or "auto",
         max_block_bytes=args.max_block_bytes,
         client_rate=args.client_rate,
         client_burst=args.client_burst,
@@ -1045,8 +934,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_batch(args)
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "plan":
-        return _cmd_plan(args)
     if args.command == "pipeline":
         return _cmd_pipeline(args)
     if args.command == "serve":
@@ -1055,45 +942,25 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _dispatch_planned(args: argparse.Namespace) -> int:
-    """Run the command under execution plan/planner contexts when requested.
+    """Run the command under the planner config the global flags ask for.
 
-    ``--workers``/``--cache-dir`` install an ambient
-    :class:`~repro.core.parallel.ExecutionPlan`, so every
-    configuration-space sweep the command performs (pareto, ucr, batch,
-    search, what-if) is sharded across worker processes and/or served
-    from the persistent result cache.  ``--plan``/``--max-block-bytes``
-    additionally activate a :class:`~repro.core.planner.PlannerConfig`,
-    putting strategy selection (and block streaming) under the
-    calibrated cost model.
+    ``--cache-dir`` attaches a persistent
+    :class:`~repro.core.cache.ResultCache` and ``--max-block-bytes`` a
+    streaming budget to every configuration-space sweep the command
+    performs (pareto, ucr, batch, search, what-if).
 
     ``serve`` is the exception for ``--cache-dir``: the service opens
-    that directory as its own warm tier, so its ambient plan carries
-    ``--workers`` only and the planner neither probes nor writes a second
-    cache on the same files.
+    that directory as its own warm tier, so the planner neither reads
+    nor writes a second cache on the same files.
     """
-    import contextlib
-
     cache_dir = None if args.command == "serve" else args.cache_dir
-    wants_plan = args.workers != 1 or cache_dir is not None
-    wants_planner = args.plan is not None or args.max_block_bytes is not None
-    if not wants_plan and not wants_planner:
+    if cache_dir is None and args.max_block_bytes is None:
         return _dispatch_resilient(args)
-    with contextlib.ExitStack() as stack:
-        if wants_plan:
-            from repro.core.parallel import parallel_plan
+    from repro.core.cache import ResultCache
+    from repro.core.planner import planner_config
 
-            stack.enter_context(
-                parallel_plan(workers=args.workers, cache_dir=cache_dir)
-            )
-        if wants_planner:
-            from repro.core.planner import planner_config
-
-            stack.enter_context(
-                planner_config(
-                    mode=args.plan or "auto",
-                    max_block_bytes=args.max_block_bytes,
-                )
-            )
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    with planner_config(max_block_bytes=args.max_block_bytes, cache=cache):
         return _dispatch_resilient(args)
 
 
@@ -1131,7 +998,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     raw = list(argv) if argv is not None else sys.argv[1:]
     if raw[:1] == ["lint"]:
         # The linter has its own option surface (and none of the global
-        # trace/workers/resilience machinery applies to static analysis).
+        # trace/cache/resilience machinery applies to static analysis).
         from repro.lint.cli import run as lint_run
 
         return lint_run(raw[1:], prog="repro lint")

@@ -71,7 +71,7 @@ from repro.core.calibrate import CalibratedModel, TermCorrections, calibrate
 from repro.core.metrics import edp, ed2p, edp_optimal, throughput_per_watt
 from repro.core.batch import BatchPlan, Job, PlacedJob, plan_batch
 from repro.core.cache import ResultCache
-from repro.core.parallel import ExecutionPlan, parallel_plan
+from repro.core.planner import PlannerConfig, planner_config
 
 __all__ = [
     "BaselineArtefacts",
@@ -131,6 +131,6 @@ __all__ = [
     "BatchPlan",
     "plan_batch",
     "ResultCache",
-    "ExecutionPlan",
-    "parallel_plan",
+    "PlannerConfig",
+    "planner_config",
 ]

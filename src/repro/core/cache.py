@@ -105,6 +105,11 @@ ARRAY_FIELDS = (
 )
 
 
+def field_dtype(name: str) -> type:
+    """Storage dtype of one :data:`ARRAY_FIELDS` result field."""
+    return np.bool_ if name == "saturated" else np.float64
+
+
 def _space_identity(space: object) -> list:
     """JSON form of a space: grid axes, or the explicit (n, c, f) list."""
     if (
@@ -259,10 +264,10 @@ class ResultCache:
     def contains(self, identity: dict[str, Any]) -> bool:
         """Whether an entry file exists for ``identity``.
 
-        A cheap existence probe for the planner's cache-hit signal: it
-        does not read, validate, or count the entry (a torn or foreign
-        file still reports ``True`` here and is rejected by
-        :meth:`get` / :meth:`get_doc`).  Both entry kinds are probed —
+        A cheap existence probe: it does not read, validate, or count
+        the entry (a torn or foreign file still reports ``True`` here
+        and is rejected by :meth:`get` / :meth:`get_doc`).  Both entry
+        kinds are probed —
         an evaluation ``.eval`` and a JSON artifact ``.json`` never share
         a digest because their identity documents differ in ``kind``.
         """

@@ -47,22 +47,6 @@ from repro.resilience.checkpoint import (
 _CHUNK_SIZE = 32
 
 
-def _effective_chunk_size() -> int:
-    """The candidate block size under the ambient execution plan.
-
-    With a multi-worker :class:`~repro.core.parallel.ExecutionPlan`
-    active, blocks grow by the plan's shard count so each block can fan
-    out across the worker pool (the search stays exact either way: block
-    size only trades pruning tightness against parallel width).
-    """
-    from repro.core import parallel
-
-    plan = parallel.active_plan()
-    if plan is None or plan.workers <= 1:
-        return _CHUNK_SIZE
-    return _CHUNK_SIZE * plan.shards
-
-
 @dataclass(frozen=True)
 class SearchStats:
     """Work accounting for one pruned search."""
@@ -106,14 +90,13 @@ def _search_checkpoint(
     kind: str,
     constraint: float,
     cls: str,
-    chunk_size: int,
 ) -> Checkpoint | None:
     """Open (or pass through) a search checkpoint, fingerprinted over the
     model parameters, the space, the objective and its constraint.
 
     The chunk size is part of the identity: chunk indices are only
-    meaningful for one chunking, so resuming under a different worker
-    count (which scales the chunk size) is refused rather than mixed.
+    meaningful for one chunking, so a checkpoint written under another
+    chunk size is refused rather than mixed.
     """
     if checkpoint is None or isinstance(checkpoint, Checkpoint):
         return checkpoint
@@ -127,7 +110,7 @@ def _search_checkpoint(
                 "kind": kind,
                 "constraint": constraint,
                 "class_name": cls,
-                "chunk_size": chunk_size,
+                "chunk_size": _CHUNK_SIZE,
             }
         ),
     )
@@ -215,7 +198,6 @@ def _search_min_energy(
     scale = model.program.scale_factor(cls, model.inputs.baseline_class)
 
     configs = list(space)
-    chunk_size = _effective_chunk_size()
     ck = _search_checkpoint(
         checkpoint,
         model,
@@ -223,7 +205,6 @@ def _search_min_energy(
         "min_energy_within_deadline",
         deadline_s,
         cls,
-        chunk_size,
     )
     start_index, best, evaluated, done = _restore_search_state(ck)
     if done:
@@ -239,10 +220,10 @@ def _search_min_energy(
     # most promising (lowest energy bound) first: the incumbent tightens fast
     bounded.sort(key=lambda item: item[2])
 
-    for index, pos in enumerate(range(0, len(bounded), chunk_size)):
+    for index, pos in enumerate(range(0, len(bounded), _CHUNK_SIZE)):
         if index < start_index:
             continue  # chunk already evaluated before the interruption
-        chunk = bounded[pos : pos + chunk_size]
+        chunk = bounded[pos : pos + _CHUNK_SIZE]
         if best is not None:
             # sorted by bound: only candidates whose bound still beats the
             # incumbent can win (strict <); the rest of the list is pruned
@@ -293,7 +274,6 @@ def _search_min_time(
     scale = model.program.scale_factor(cls, model.inputs.baseline_class)
 
     configs = list(space)
-    chunk_size = _effective_chunk_size()
     ck = _search_checkpoint(
         checkpoint,
         model,
@@ -301,7 +281,6 @@ def _search_min_time(
         "min_time_within_budget",
         budget_j,
         cls,
-        chunk_size,
     )
     start_index, best, evaluated, done = _restore_search_state(ck)
     if done:
@@ -317,10 +296,10 @@ def _search_min_time(
     # most promising (lowest time bound) first
     bounded.sort(key=lambda item: item[1])
 
-    for index, pos in enumerate(range(0, len(bounded), chunk_size)):
+    for index, pos in enumerate(range(0, len(bounded), _CHUNK_SIZE)):
         if index < start_index:
             continue  # chunk already evaluated before the interruption
-        chunk = bounded[pos : pos + chunk_size]
+        chunk = bounded[pos : pos + _CHUNK_SIZE]
         if best is not None:
             # no candidate whose time bound misses the incumbent can win
             chunk = [item for item in chunk if item[1] < best.time_s]

@@ -54,6 +54,7 @@ from repro.core.time_model import (
 )
 from repro.machines.spec import Configuration
 from repro.mg1 import RHO_MAX, exponential_second_moment, mg1_mean_wait, mg1_utilization
+from repro.units import MIB
 
 
 def _is_grid(space: object) -> bool:
@@ -164,31 +165,55 @@ class VectorizedEvaluation:
 
 class CacheInfo(NamedTuple):
     """Cache statistics, mirroring :func:`functools.lru_cache` (plus the
-    eviction count the obs layer also tracks)."""
+    eviction count the obs layer also tracks and the result-array bytes
+    the cache retains)."""
 
     hits: int
     misses: int
     maxsize: int
     currsize: int
     evictions: int = 0
+    currbytes: int = 0
 
 
 _MISSING = object()
 
 
+#: Result-array bytes the space-evaluation LRU retains before evicting
+#: its oldest entries (~129 bytes per configuration).  Two 192k-config
+#: grids (~23.6 MiB each) fit; 64 entries the size of the paper
+#: pipeline's spaces (<= 0.16 MiB) or of serve queries never reach it.
+EVALUATION_CACHE_MAX_BYTES = 64 * MIB
+
+
+def _result_bytes(value: object) -> int:
+    """Bytes of the arrays an entry holds (0 for a value without any)."""
+    return sum(
+        a.nbytes
+        for a in getattr(value, "__dict__", {}).values()
+        if isinstance(a, np.ndarray)
+    )
+
+
 class _LRUCache:
     """A small explicit LRU (model fingerprints are not lru_cache-able).
 
-    All dict mutation and the ``hits``/``misses``/``evictions`` stats are
-    guarded by a lock: `repro serve` calls into the engine from worker
-    threads, so ``get``/``put`` race once requests run concurrently.
-    Hit/miss/eviction events are mirrored into the observability layer
-    (``vectorized.cache.*`` counters, reported outside the lock) whenever
-    metrics are enabled.
+    Bounded twice: at most ``maxsize`` entries, and — oldest first —
+    entries are evicted while the retained result arrays exceed
+    ``maxbytes`` (the newest entry always stays, however large).
+    All dict mutation and the ``hits``/``misses``/``evictions``/
+    ``currbytes`` stats are guarded by a lock: `repro serve` calls into
+    the engine from worker threads, so ``get``/``put`` race once
+    requests run concurrently.  Hit/miss/eviction events are mirrored
+    into the observability layer (``vectorized.cache.*`` counters,
+    reported outside the lock) whenever metrics are enabled.
     """
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(
+        self, maxsize: int, maxbytes: int = EVALUATION_CACHE_MAX_BYTES
+    ) -> None:
         self.maxsize = maxsize
+        self.maxbytes = maxbytes
         self._data: OrderedDict[object, VectorizedEvaluation] = (
             OrderedDict()
         )  # guarded-by: _lock
@@ -196,6 +221,7 @@ class _LRUCache:
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self.evictions = 0  # guarded-by: _lock
+        self.currbytes = 0  # guarded-by: _lock
 
     def get(self, key: object) -> VectorizedEvaluation | None:
         with self._lock:
@@ -212,12 +238,19 @@ class _LRUCache:
         return value  # type: ignore[return-value]
 
     def put(self, key: object, value: VectorizedEvaluation) -> None:
+        size = _result_bytes(value)
         evicted = 0
         with self._lock:
+            previous = self._data.pop(key, None)
+            if previous is not None:
+                self.currbytes -= _result_bytes(previous)
             self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
+            self.currbytes += size
+            while len(self._data) > self.maxsize or (
+                self.currbytes > self.maxbytes and len(self._data) > 1
+            ):
+                _, oldest = self._data.popitem(last=False)
+                self.currbytes -= _result_bytes(oldest)
                 self.evictions += 1
                 evicted += 1
         for _ in range(evicted):
@@ -229,12 +262,13 @@ class _LRUCache:
             self.hits = 0
             self.misses = 0
             self.evictions = 0
+            self.currbytes = 0
 
     def info(self) -> CacheInfo:
         with self._lock:
             return CacheInfo(
                 self.hits, self.misses, self.maxsize, len(self._data),
-                self.evictions,
+                self.evictions, self.currbytes,
             )
 
 
@@ -397,11 +431,10 @@ def _evaluate(
         if use_cache
         else None
     )
-    # The planner is the single dispatch point: with no active
-    # PlannerConfig it reproduces the legacy routing exactly (ambient
-    # ExecutionPlan -> sharded engine + disk cache, else the broadcast
-    # engine); with one, a cost-model decision picks the strategy.  The
-    # import is deferred: repro.core.planner imports this module.
+    # Past the LRU, planner.execute is the one execution path: the
+    # ambient disk cache, then the broadcast engine (streamed when over
+    # the active block budget).  The import is deferred:
+    # repro.core.planner imports this module.
     from repro.core import planner as _planner
 
     if key is not None:
@@ -433,12 +466,12 @@ def _compute(
     service_overlap: bool,
     instrument: bool = True,
 ) -> VectorizedEvaluation:
-    """The single-process broadcast engine (no caches, no dispatch).
+    """The broadcast engine itself (no caches, no dispatch).
 
-    This is the reference vectorized path: the ambient-plan dispatch in
-    :func:`_evaluate` and every shard of the multiprocess engine
-    (:mod:`repro.core.parallel`) call exactly this function, which is why
-    sharded results are bit-identical to single-process ones.
+    :func:`repro.core.planner.execute` and every streamed block
+    (:func:`repro.core.planner.stream_blocks`) call exactly this
+    function, which is why streamed results are bit-identical to
+    materialized ones.
     """
     inputs = model.inputs
     cls_name = class_name or inputs.baseline_class

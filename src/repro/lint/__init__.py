@@ -9,9 +9,9 @@ documented but, before this package, unenforced:
 * **Determinism** — every random draw and every timestamp that can reach
   a result must flow through :mod:`repro.rng` named streams, or cache
   fingerprints and checkpoint resume silently break (rule ``RL002``).
-* **Fork safety** — worker processes forked by :mod:`repro.core.parallel`
-  must not mutate module-level globals: the mutation is invisible to the
-  parent and to sibling workers (rule ``RL003``).
+* **Fork safety** — functions handed to a process or thread pool must
+  not mutate module-level globals: the mutation is invisible to a forked
+  parent, or races the other threads (rule ``RL003``).
 * **Atomic IO** — cache entries and checkpoints must be written with the
   temp-file + :func:`os.replace` idiom so readers never observe a torn
   file (rule ``RL004``).

@@ -1,12 +1,14 @@
-"""RL003 — module-global mutation reachable from fork workers.
+"""RL003 — module-global mutation reachable from pool workers.
 
-:mod:`repro.core.parallel` forks a persistent worker pool and promises
-bit-identical results regardless of worker scheduling.  A function that
-runs inside a worker and mutates a module-level global (rebinding via
-``global``, ``NAME[...] = …``, or an in-place method like ``.put()``)
-writes to the worker's copy-on-write page: the parent and sibling
-workers never see it, warm-pool reuse makes it leak *across* sweeps, and
-the single-process path silently diverges from the sharded one.
+A function handed to a pool runs apart from its caller.  If it mutates a
+module-level global (rebinding via ``global``, ``NAME[...] = …``, or an
+in-place method like ``.put()``), a forked process worker writes to its
+own copy-on-write page, so the parent and sibling workers never see it;
+a thread worker races every other thread on the shared value.  Either
+way, a result would depend on worker scheduling.  The repository's one
+pool entry point today is :func:`repro.pipeline.runner._in_config`, the
+stage task of ``repro pipeline run --jobs``; the rule keeps it, and any
+worker added later, side-effect free.
 
 The checker finds worker entry points syntactically — any function
 handed to ``.submit(f, …)``, ``.apply_async(f, …)`` or

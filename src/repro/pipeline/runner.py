@@ -4,9 +4,10 @@
 selected stage's content fingerprint from live input files + params +
 upstream output digests, and executes **only** stages whose fingerprint
 has no entry in the artifact store.  Independent stages fan out across a
-thread pool when ``workers > 1`` (each stage's internal work still
-routes through the ambient :class:`~repro.core.parallel.ExecutionPlan`
-and planner config installed by the global CLI flags).
+thread pool when ``workers > 1``; each pool task runs under the caller's
+:class:`~repro.core.planner.PlannerConfig` (the disk cache and streaming
+budget the global CLI flags install), which a new thread would not
+otherwise see.
 
 :func:`pipeline_status` answers "what would run, and why" without
 executing anything: per stage it reports ``fresh`` / ``stale`` /
@@ -32,9 +33,10 @@ import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro import obs
+from repro.core.planner import PlannerConfig, activate_config, active_config
 from repro.pipeline.dag import Pipeline, PipelineError
 from repro.pipeline.fingerprint import identity_digest, stage_identity
 from repro.pipeline.stage import Stage, StageContext
@@ -138,6 +140,17 @@ def _execute_stage(
     return entry, elapsed
 
 
+def _in_config(
+    config: PlannerConfig | None, fn: Callable[..., Any], *args: Any
+) -> Any:
+    """Call ``fn(*args)`` with ``config`` active on this thread."""
+    previous = activate_config(config)
+    try:
+        return fn(*args)
+    finally:
+        activate_config(previous)
+
+
 def run_pipeline(
     pipeline: Pipeline,
     store: ArtifactStore,
@@ -211,6 +224,9 @@ def run_pipeline(
             for stage in pending:
                 _visit(stage)
         else:
+            # planner configs are thread-local: carry the caller's into
+            # every pool task
+            config = active_config()
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 done: set[str] = set()
                 while pending:
@@ -224,7 +240,11 @@ def run_pipeline(
                             "pipeline wave deadlock; remaining: "
                             f"{[s.name for s in pending]}"
                         )
-                    for future in [pool.submit(_visit, s) for s in wave]:
+                    futures = [
+                        pool.submit(_in_config, config, _visit, s)
+                        for s in wave
+                    ]
+                    for future in futures:
                         future.result()
                     done.update(s.name for s in wave)
                     pending = [s for s in pending if s.name not in done]

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro import obs
 from repro import resilience
+from repro.core.cache import ARRAY_FIELDS, field_dtype
 from repro.core.configspace import SpaceEvaluation
 from repro.core.model import HybridProgramModel
 from repro.core.vectorized import (
@@ -45,34 +46,6 @@ from repro.resilience.checkpoint import Checkpoint, fingerprint
 
 #: Default number of configurations evaluated (and persisted) per chunk.
 DEFAULT_CHUNK_SIZE = 64
-
-#: The VectorizedEvaluation arrays persisted per chunk.  All of them are
-#: stored (rather than recomputing the derived ones) so a resumed sweep
-#: reproduces an uninterrupted one bit for bit without re-deriving.
-_ARRAY_FIELDS = (
-    "nodes",
-    "cores",
-    "frequencies_hz",
-    "t_cpu_s",
-    "t_mem_s",
-    "t_net_service_s",
-    "t_net_wait_s",
-    "utilization_baseline",
-    "rho_network",
-    "saturated",
-    "cpu_j",
-    "mem_j",
-    "net_j",
-    "idle_j",
-    "times_s",
-    "energies_j",
-    "ucrs",
-)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def space_digest(
@@ -122,35 +95,31 @@ def evaluate_space_checkpointed(
             space_digest(model, configs, cls, chunk_size),
         )
 
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in _ARRAY_FIELDS}
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in ARRAY_FIELDS}
     for index, pos in enumerate(range(0, len(configs), chunk_size)):
         chunk = configs[pos : pos + chunk_size]
         key = f"chunk{index}"
         payload = checkpoint.get(key) if checkpoint is not None else None
         if payload is not None:
             obs.add("resilience.checkpoint.chunks_skipped")
-            for name in _ARRAY_FIELDS:
-                dtype = bool if name == "saturated" else np.float64
-                parts[name].append(np.asarray(payload[name], dtype=dtype))
+            for name in ARRAY_FIELDS:
+                parts[name].append(
+                    np.asarray(payload[name], dtype=field_dtype(name))
+                )
             continue
         vec = evaluate_many(model, chunk, cls)
-        for name in _ARRAY_FIELDS:
+        for name in ARRAY_FIELDS:
             parts[name].append(getattr(vec, name))
         if checkpoint is not None:
+            # every field, derived ones too: a resumed sweep reproduces an
+            # uninterrupted one bit for bit without re-deriving
             checkpoint.record(
-                key,
-                {
-                    name: [
-                        bool(v) if name == "saturated" else float(v)
-                        for v in getattr(vec, name)
-                    ]
-                    for name in _ARRAY_FIELDS
-                },
+                key, {name: getattr(vec, name).tolist() for name in ARRAY_FIELDS}
             )
 
-    arrays = {
-        name: _readonly(np.concatenate(parts[name])) for name in _ARRAY_FIELDS
-    }
+    arrays = {name: np.concatenate(parts[name]) for name in ARRAY_FIELDS}
+    for arr in arrays.values():
+        arr.setflags(write=False)
     result = VectorizedEvaluation(class_name=cls, space=configs, **arrays)
     return SpaceEvaluation(predictions=result.predictions, vectorized=result)
 

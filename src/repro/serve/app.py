@@ -149,7 +149,6 @@ class ServeApp:
         burst: float | None = None,
         response_cache_size: int = DEFAULT_RESPONSE_CACHE_SIZE,
         clock: Callable[[], float] = time.monotonic,
-        plan: str = "auto",
         max_block_bytes: int | None = None,
         client_rate: float = 0.0,
         client_burst: float | None = None,
@@ -158,13 +157,11 @@ class ServeApp:
         """Wire the caching tiers, limiter and metrics for one service."""
         if engine_workers < 1:
             raise ValueError("engine_workers must be >= 1")
-        # Per-query strategy selection (recorded in /metrics as
-        # plan_selected_total{strategy=…}).  Scalar is excluded: its
-        # results match the vectorized engine only to 1e-9, and response
-        # bytes must not depend on which strategy answered a query.
-        self._planner_config = PlannerConfig(
-            mode=plan, max_block_bytes=max_block_bytes, allow_scalar=False
-        )
+        # The streaming budget engine calls run under (the branch taken
+        # is recorded in /metrics as plan_selected_total{strategy=…}).
+        # It carries no disk cache: result_cache below is the service's
+        # one warm tier, so each fresh result is written once.
+        self._planner_config = PlannerConfig(max_block_bytes=max_block_bytes)
         self.result_cache = ResultCache(cache_dir) if cache_dir else None
         self.limiter = TokenBucket(rate, burst, clock=clock)
         self.client_limiter = KeyedTokenBuckets(
@@ -696,7 +693,6 @@ def run_server(
     rate: float = 0.0,
     burst: float | None = None,
     cache_dir: str | None = None,
-    plan: str = "auto",
     max_block_bytes: int | None = None,
     client_rate: float = 0.0,
     client_burst: float | None = None,
@@ -707,17 +703,15 @@ def run_server(
     ``rate``/``burst`` configure the service-wide token bucket and
     ``client_rate``/``client_burst`` the per-client buckets (0 disables
     either layer); ``cache_dir`` enables the persistent
-    :class:`ResultCache` warm tier; ``plan``/``max_block_bytes``
-    configure the per-query execution planner
-    (``repro serve --plan/--max-block-bytes``); ``engine_workers`` sizes
-    the bounded thread pool engine evaluations run in
-    (``repro serve --engine-workers``).
+    :class:`ResultCache` warm tier; ``max_block_bytes`` is the
+    per-query streaming budget (``repro --max-block-bytes``);
+    ``engine_workers`` sizes the bounded thread pool engine evaluations
+    run in (``repro serve --engine-workers``).
     """
     app = ServeApp(
         cache_dir=cache_dir,
         rate=rate,
         burst=burst,
-        plan=plan,
         max_block_bytes=max_block_bytes,
         client_rate=client_rate,
         client_burst=client_burst,

@@ -1,11 +1,10 @@
-"""Property suite: streamed == materialized == sharded, always.
+"""Property suite: streamed == materialized, always.
 
 The planner's hard contract (docs/PLANNER.md): block-streamed execution
 returns results bit-identical to the materialized broadcast engine for
 any machine/workload/grid/budget tuple — including degenerate grids —
 and the streaming reductions (top-k, running Pareto) select exactly the
-indices the materialized reference selects.  The scalar strategy agrees
-to the repo-wide 1e-9 relative tolerance.
+indices the materialized reference selects.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 from repro.core import planner
 from repro.core.cache import ARRAY_FIELDS
 from repro.core.configspace import ConfigSpace
-from repro.core.parallel import ExecutionPlan, evaluate_plan
 from repro.core.pareto import pareto_mask
 from repro.core.planner import (
     WORKING_BYTES_PER_CONFIG,
@@ -26,8 +24,6 @@ from repro.core.planner import (
 )
 from repro.core.vectorized import _compute
 from tests.unit.test_core_vectorized import random_models, spaces_for
-
-RTOL = 1e-9
 
 _suppress = [HealthCheck.function_scoped_fixture, HealthCheck.too_slow]
 
@@ -68,47 +64,6 @@ def test_streamed_matches_materialized_bit_for_bit(data):
     full = _compute(model, space, None, "bracketed", True, instrument=False)
     streamed = evaluate_space_streamed(model, space, max_block_bytes=budget)
     _assert_bit_identical(full, streamed)
-
-
-@given(data=st.data())
-@settings(deadline=None, suppress_health_check=_suppress)
-def test_memmap_transport_matches_materialized(data):
-    model = data.draw(random_models())
-    space = data.draw(spaces_for(model))
-    budget = data.draw(_budgets)
-    full = _compute(model, space, None, "bracketed", True, instrument=False)
-    streamed = evaluate_space_streamed(
-        model, space, max_block_bytes=budget, transport="memmap"
-    )
-    _assert_bit_identical(full, streamed)
-
-
-@given(data=st.data())
-@settings(deadline=None, suppress_health_check=_suppress)
-def test_sharded_matches_materialized_bit_for_bit(data):
-    model = data.draw(random_models())
-    space = data.draw(spaces_for(model))
-    full = _compute(model, space, None, "bracketed", True, instrument=False)
-    plan = ExecutionPlan(
-        workers=2, min_parallel_configs=1, clamp_workers=False
-    )
-    sharded = evaluate_plan(plan, model, space, None, "bracketed", True)
-    _assert_bit_identical(full, sharded)
-
-
-@given(data=st.data())
-@settings(deadline=None, suppress_health_check=_suppress)
-def test_scalar_strategy_matches_vectorized_at_rtol(data):
-    model = data.draw(random_models())
-    space = data.draw(spaces_for(model))
-    full = _compute(model, space, None, "bracketed", True, instrument=False)
-    scalar = planner._scalar_compute(
-        model, space, model.inputs.baseline_class, "bracketed", True
-    )
-    np.testing.assert_allclose(scalar.times_s, full.times_s, rtol=RTOL)
-    np.testing.assert_allclose(scalar.energies_j, full.energies_j, rtol=RTOL)
-    np.testing.assert_allclose(scalar.ucrs, full.ucrs, rtol=RTOL)
-    np.testing.assert_array_equal(scalar.saturated, full.saturated)
 
 
 # ----------------------------------------------------------------------

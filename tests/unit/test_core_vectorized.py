@@ -363,3 +363,103 @@ class TestLRUCacheThreadSafety:
         assert info.currsize == cache.maxsize
         # all keys distinct: every insertion beyond capacity evicted one
         assert info.evictions == n_threads * puts - cache.maxsize
+
+
+class TestLRUByteBound:
+    """The module LRU evicts by retained result bytes as well as count."""
+
+    @staticmethod
+    def _entry(configs):
+        from types import SimpleNamespace
+
+        # 9 bytes per configuration: one float64 and one bool column
+        return SimpleNamespace(
+            times_s=np.zeros(configs), saturated=np.zeros(configs, bool)
+        )
+
+    def test_put_past_the_byte_bound_evicts_the_oldest(self):
+        from repro.core.vectorized import _LRUCache
+
+        cache = _LRUCache(maxsize=64, maxbytes=2000)
+        cache.put("a", self._entry(100))
+        cache.put("b", self._entry(100))
+        assert cache.info().currbytes == 1800
+        cache.put("c", self._entry(100))
+        assert cache.get("a") is None  # the oldest went first
+        assert cache.get("b") is not None and cache.get("c") is not None
+        info = cache.info()
+        assert info.currsize == 2 and info.currbytes == 1800
+        assert info.evictions == 1
+
+    def test_an_oversized_entry_stays_alone(self):
+        from repro.core.vectorized import _LRUCache
+
+        cache = _LRUCache(maxsize=64, maxbytes=1000)
+        cache.put("small", self._entry(10))
+        cache.put("huge", self._entry(1000))
+        assert cache.get("small") is None
+        assert cache.get("huge") is not None
+        assert cache.info().currbytes == 9000
+
+    def test_replacing_a_key_recounts_its_bytes(self):
+        from repro.core.vectorized import _LRUCache
+
+        cache = _LRUCache(maxsize=64, maxbytes=10**6)
+        cache.put("k", self._entry(100))
+        cache.put("k", self._entry(10))
+        info = cache.info()
+        assert info.currsize == 1 and info.currbytes == 90
+
+    def test_module_cache_reports_retained_bytes(self, xeon_sp_model):
+        from repro.core import vectorized
+        from repro.core.cache import ARRAY_FIELDS
+
+        clear_evaluation_cache()
+        space = ConfigSpace((1, 2), (1, 8), (1.2e9, 1.8e9))
+        vec = evaluate_configs(xeon_sp_model, space)
+        assert evaluation_cache_info().currbytes == sum(
+            getattr(vec, name).nbytes for name in ARRAY_FIELDS
+        )
+        assert (
+            vectorized._EVALUATION_CACHE.maxbytes
+            == vectorized.EVALUATION_CACHE_MAX_BYTES
+        )
+        clear_evaluation_cache()
+        assert evaluation_cache_info().currbytes == 0
+
+    def test_concurrent_puts_keep_the_byte_count(self):
+        import sys
+        import threading
+
+        from repro.core.vectorized import _LRUCache, _result_bytes
+
+        cache = _LRUCache(maxsize=64, maxbytes=5000)
+        n_threads, puts = 6, 200
+        barrier = threading.Barrier(n_threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def writer(seed: int) -> None:
+            barrier.wait()
+            for i in range(puts):
+                # 900, 990 or 1080 bytes; keys repeat across threads
+                cache.put(f"k{(seed + i) % 10}", self._entry(100 + 10 * (i % 3)))
+
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(s,))
+                for s in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+
+        info = cache.info()
+        retained = sum(_result_bytes(v) for v in cache._data.values())
+        # a lost update on the running total would show here
+        assert info.currbytes == retained
+        assert 0 < retained <= cache.maxbytes

@@ -178,21 +178,23 @@ class TestSeededRegressions:
         assert "time.time" in result.findings[0].message
 
     def test_rl003_forksafety_regression(self, tmp_path):
+        # the pipeline's pool task starts recording into a module list
         _seed(
             tmp_path,
-            "src/repro/core/parallel.py",
-            "parallel.py",
-            "    t_start = time.perf_counter()",
-            "    t_start = time.perf_counter()\n"
-            "    global _ACTIVE_PLAN\n"
-            "    _ACTIVE_PLAN = None",
+            "src/repro/pipeline/runner.py",
+            "runner.py",
+            '    """Call ``fn(*args)`` with ``config`` active on this thread."""\n',
+            '    """Call ``fn(*args)`` with ``config`` active on this thread."""\n'
+            "    _SEEN_CONFIGS.append(config)\n",
         )
+        runner = tmp_path / "runner.py"
+        runner.write_text(runner.read_text() + "\n_SEEN_CONFIGS: list = []\n")
         result = lint_paths([tmp_path], tmp_path, config=LintConfig(rules=("RL003",)))
         assert [f.rule for f in result.findings] == ["RL003"]
-        assert "_ACTIVE_PLAN" in result.findings[0].message
+        assert "_SEEN_CONFIGS" in result.findings[0].message
 
-    def test_rl003_pristine_parallel_is_clean(self, tmp_path):
-        shutil.copy(REPO_ROOT / "src/repro/core/parallel.py", tmp_path / "parallel.py")
+    def test_rl003_pristine_runner_is_clean(self, tmp_path):
+        shutil.copy(REPO_ROOT / "src/repro/pipeline/runner.py", tmp_path / "runner.py")
         result = lint_paths([tmp_path], tmp_path, config=LintConfig(rules=("RL003",)))
         assert result.ok
 

@@ -186,6 +186,32 @@ def test_workers_fan_out_matches_serial_results(bench, tmp_path):
     assert set(parallel.executed) == set(serial.executed)
 
 
+def test_pool_stages_see_the_callers_planner_config(tmp_path):
+    # planner configs are thread-local; a stage on a pool thread must
+    # still run under the budget and disk cache the caller installed
+    from repro.core.cache import ResultCache
+    from repro.core.planner import active_config, planner_config
+
+    seen = {}
+
+    def probe(name):
+        def run(ctx):
+            seen[name] = active_config()
+            return {name: name}
+
+        return run
+
+    pipeline = Pipeline(
+        [Stage(name=n, run=probe(n), outputs=(n,)) for n in ("a", "b")]
+    )
+    cache = ResultCache(tmp_path / "cache")
+    with planner_config(max_block_bytes=4096, cache=cache) as config:
+        run_pipeline(pipeline, ArtifactStore(tmp_path / "store"), workers=2)
+    assert seen == {"a": config, "b": config}
+    assert config.max_block_bytes == 4096 and config.cache is cache
+    assert active_config() is None
+
+
 def test_undeclared_outputs_are_rejected(bench, tmp_path):
     bad = Pipeline(
         [

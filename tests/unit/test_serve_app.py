@@ -561,10 +561,10 @@ def _serve_via_cli(monkeypatch, shared_models, argv, session):
     """Run ``repro <argv>`` through the real CLI wiring (global options,
     ``_dispatch_planned``, ``_cmd_serve``, ``run_server``) with the
     transport swapped for ``session(app)``, which drives requests
-    in-process.  Returns the ambient plan the service ran under."""
+    in-process.  Returns the planner config the service ran under."""
     import repro.serve.app as app_module
     from repro.cli.main import main
-    from repro.core import parallel
+    from repro.core import planner
 
     models, specs = shared_models
     seen = {}
@@ -572,14 +572,14 @@ def _serve_via_cli(monkeypatch, shared_models, argv, session):
     async def serve_in_process(app, host, port):
         app._models.update(models)
         app._specs.update(specs)
-        seen["plan"] = parallel.active_plan()
+        seen["config"] = planner.active_config()
         await session(app)
         return 0
 
     monkeypatch.setattr(app_module, "_serve_forever", serve_in_process)
     assert main(argv) == 0
     obs.disable()
-    return seen["plan"]
+    return seen["config"]
 
 
 def test_cli_serve_writes_each_fresh_result_once(
@@ -608,31 +608,34 @@ def test_cli_serve_writes_each_fresh_result_once(
         assert obs.counter_value("cache.disk.writes") == 1
         assert len(list(cache_dir.iterdir())) == 1
 
-    plan = _serve_via_cli(
+    config = _serve_via_cli(
         monkeypatch,
         shared_models,
         ["--cache-dir", str(cache_dir), "serve", "--port", "0"],
         session,
     )
-    assert plan is None  # --workers 1: no ambient plan at all
+    # the disk cache is the app's warm tier, never a second planner cache
+    assert config is None
 
 
-def test_cli_serve_ambient_plan_carries_workers_only(
+def test_cli_serve_ambient_config_carries_no_cache(
     monkeypatch, shared_models, tmp_path
 ):
     async def session(app):
         assert app.result_cache is not None
+        assert app._planner_config.max_block_bytes == 4096
+        assert app._planner_config.cache is None
 
-    plan = _serve_via_cli(
+    config = _serve_via_cli(
         monkeypatch,
         shared_models,
         [
-            "--workers", "2",
+            "--max-block-bytes", "4096",
             "--cache-dir", str(tmp_path / "warm"),
             "serve", "--port", "0",
         ],
         session,
     )
-    # large per-request sweeps still shard; the disk cache is the app's
-    assert plan is not None and plan.workers == 2
-    assert plan.cache is None
+    # the budget reaches the CLI-level config; the disk cache is the app's
+    assert config is not None and config.max_block_bytes == 4096
+    assert config.cache is None

@@ -11,8 +11,8 @@ from repro import obs
 from repro.core.vectorized import clear_evaluation_cache
 from repro.serve.app import ServeApp
 
-#: Large enough that the planner has a real decision to make, small
-#: enough that an evaluation is milliseconds.
+#: Large enough to stream under a small block budget, small enough
+#: that an evaluation is milliseconds.
 SPACE = {
     "nodes": list(range(1, 13)),
     "cores": [1, 2, 4, 8],
@@ -90,19 +90,9 @@ def test_streamed_response_bytes_identical_to_materialized(make_app):
     asyncio.run(run())
 
 
-def test_forced_vectorized_response_bytes_identical(make_app):
-    async def run():
-        auto = await _query(make_app(), _body())
-        clear_evaluation_cache()
-        forced = await _query(make_app(plan="vectorized"), _body())
-        assert forced == auto
-
-    asyncio.run(run())
-
-
 def test_scalar_plan_is_not_selectable_in_serve(make_app):
-    # ServeApp pins allow_scalar=False; even a tiny query must route
-    # through the byte-stable engine strategies
+    # the engine is the only strategy left: even a tiny query routes
+    # through the byte-stable vectorized path
     async def run():
         app = make_app()
         await _query(
