@@ -18,32 +18,39 @@ which strategy ran.  :func:`decide` names the branch taken (``cached``
 or ``vectorized``, streamed or not) and records it as a labeled counter
 exported as ``repro_plan_selected_total{strategy="…"}``.
 
-**Streaming** (:func:`iter_block_spaces`, :func:`stream_blocks`,
-:func:`evaluate_space_streamed`, :func:`stream_topk`,
-:func:`stream_pareto`) evaluates a space in contiguous flat-order blocks
-sized by a byte budget, with running top-k / Pareto reductions whose
-results are **bit-identical** to the materialized path — every block
-stays grid-shaped, every lane's arithmetic is independent (the Eq. 5
-fixed point freezes converged lanes), and the reductions replicate
-NumPy's stable tie-breaking exactly.  The property suite pins this
-contract.  See ``docs/PLANNER.md``.
+**The block pipeline** (:func:`_blocks` over :func:`iter_block_spaces`)
+evaluates a space in contiguous flat-order blocks sized by a byte
+budget, reading or recording each block in a checkpoint when one is
+given.  Every piecewise evaluation is a fold over it: assembly
+(:func:`evaluate_space_streamed`, and the checkpointed sweep of
+:mod:`repro.resilience.pipeline`), the running top-k / Pareto
+selections (:func:`stream_topk`, :func:`stream_pareto`) and the what-if
+deltas (:meth:`repro.core.whatif.WhatIf.compare_streamed`).  Results
+are **bit-identical** to the materialized path — every block stays
+grid-shaped, every lane's arithmetic is independent (the Eq. 5 fixed
+point freezes converged lanes), and the reductions replicate NumPy's
+stable tie-breaking exactly.  The property suite pins this contract.
+See ``docs/PLANNER.md``.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro import obs
 from repro.core import vectorized
 from repro.core.cache import ARRAY_FIELDS, ResultCache, entry_identity, field_dtype
+from repro.core.configspace import ConfigSpace
 from repro.core.model import HybridProgramModel, Prediction
+from repro.core.pareto import pareto_mask
 from repro.core.vectorized import VectorizedEvaluation
+from repro.resilience.checkpoint import Checkpoint
 from repro.units import MIB
 
 #: Default streaming budget: bounds the *working set* of one evaluation
@@ -194,49 +201,8 @@ def _decide(
 
 
 # ----------------------------------------------------------------------
-# block-streamed evaluation
+# the block pipeline
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SubGrid:
-    """A contiguous axis-aligned slice of a grid space.
-
-    Duck-typed like :class:`~repro.core.configspace.ConfigSpace` (the
-    engine only reads the three axis tuples, and iteration follows the
-    same node-major canonical order), so streamed blocks take the same
-    grid-broadcast path as the whole space.
-    """
-
-    node_counts: tuple[int, ...]
-    core_counts: tuple[int, ...]
-    frequencies_hz: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return (
-            len(self.node_counts)
-            * len(self.core_counts)
-            * len(self.frequencies_hz)
-        )
-
-    def __iter__(self):
-        from repro.machines.spec import Configuration
-
-        for n, c, f in itertools.product(
-            self.node_counts, self.core_counts, self.frequencies_hz
-        ):
-            yield Configuration(nodes=n, cores=c, frequency_hz=f)
-
-
-def _space_size(space: object) -> int:
-    """Number of configurations in a grid or explicit sequence."""
-    if vectorized._is_grid(space):
-        return (
-            len(space.node_counts)
-            * len(space.core_counts)
-            * len(space.frequencies_hz)
-        )
-    return len(space) if isinstance(space, Sequence) else len(tuple(space))
 
 
 def block_configs(max_block_bytes: int) -> int:
@@ -255,11 +221,11 @@ def iter_block_spaces(
     order is exactly the canonical iteration order of ``space``.  Grids
     split hierarchically — node axis first, then (when a single node row
     exceeds the budget) the core axis, then the frequency axis — so
-    every block is itself grid-shaped and takes the same grid-broadcast
-    path as the whole space, which is what makes streamed results
-    bit-identical to materialized ones.  A budget larger than the space
-    yields a single block; an empty explicit sequence yields one empty
-    block.
+    every block is itself a :class:`ConfigSpace` and takes the same
+    grid-broadcast path as the whole space, which is what makes streamed
+    results bit-identical to materialized ones.  A budget larger than
+    the space yields a single block; an empty explicit sequence yields
+    one empty block.
     """
     limit = block_configs(max_block_bytes)
     if not vectorized._is_grid(space):
@@ -282,7 +248,7 @@ def iter_block_spaces(
         for start in range(0, len(nodes), rows):
             chunk = nodes[start : start + rows]
             length = len(chunk) * per_node
-            yield (offset, length, _SubGrid(chunk, cores, freqs))
+            yield (offset, length, ConfigSpace(chunk, cores, freqs))
             offset += length
         return
     for node in nodes:
@@ -291,37 +257,72 @@ def iter_block_spaces(
             for start in range(0, len(cores), rows):
                 chunk = cores[start : start + rows]
                 length = len(chunk) * per_core
-                yield (offset, length, _SubGrid((node,), chunk, freqs))
+                yield (offset, length, ConfigSpace((node,), chunk, freqs))
                 offset += length
         else:
             for core in cores:
                 for start in range(0, len(freqs), limit):
                     chunk = freqs[start : start + limit]
-                    yield (offset, len(chunk), _SubGrid((node,), (core,), chunk))
+                    yield (offset, len(chunk), ConfigSpace((node,), (core,), chunk))
                     offset += len(chunk)
 
 
-def stream_blocks(
+def _materialize(space: object) -> object:
+    """A grid as is; anything else read once into a tuple."""
+    return space if vectorized._is_grid(space) else tuple(space)
+
+
+def _blocks(
     model: HybridProgramModel,
     space: object,
-    class_name: str | None = None,
-    *,
-    queueing: str = "bracketed",
-    service_overlap: bool = True,
-    max_block_bytes: int = DEFAULT_MAX_BLOCK_BYTES,
-) -> Iterator[tuple[int, VectorizedEvaluation]]:
-    """Generator-of-blocks evaluation: ``(offset, block evaluation)``.
+    class_name: str | None,
+    queueing: str,
+    service_overlap: bool,
+    max_block_bytes: int,
+    checkpoint: Checkpoint | None = None,
+) -> Iterator[tuple[int, object, VectorizedEvaluation]]:
+    """The one block pipeline: ``(offset, block space, block evaluation)``.
 
-    Each block runs the plain single-process broadcast engine on a
-    flat-order :func:`iter_block_spaces` slice; consuming one block at a
-    time bounds live memory by the budget while the concatenation of all
-    blocks equals the materialized arrays bit for bit.
+    Cuts ``space`` with :func:`iter_block_spaces`.  A block recorded in
+    ``checkpoint`` is read back from it; any other block runs the
+    broadcast engine and, when a checkpoint is given, is recorded into
+    it.  Block lanes are bit-identical to materialized lanes, so every
+    fold over these blocks (assembly, top-k, Pareto, what-if deltas)
+    equals the same fold over the materialized arrays.
     """
-    for offset, _length, sub in iter_block_spaces(space, max_block_bytes):
-        vec = vectorized._compute(
-            model, sub, class_name, queueing, service_overlap, instrument=False
-        )
-        yield offset, vec
+    cls = class_name or model.inputs.baseline_class
+    blocks = configs = 0
+    for offset, length, sub in iter_block_spaces(
+        _materialize(space), max_block_bytes
+    ):
+        key = f"block{blocks}"
+        payload = checkpoint.get(key) if checkpoint is not None else None
+        if payload is not None:
+            vec = VectorizedEvaluation(
+                class_name=cls,
+                space=sub,
+                **{
+                    name: np.asarray(payload[name], dtype=field_dtype(name))
+                    for name in ARRAY_FIELDS
+                },
+            )
+        else:
+            vec = vectorized._compute(
+                model, sub, cls, queueing, service_overlap, instrument=False
+            )
+            if checkpoint is not None:
+                # every field, derived ones too: a resumed sweep
+                # reproduces an uninterrupted one without re-deriving
+                checkpoint.record(
+                    key,
+                    {name: getattr(vec, name).tolist() for name in ARRAY_FIELDS},
+                )
+        blocks += 1
+        configs += length
+        yield offset, sub, vec
+    if obs.metrics_enabled():
+        obs.add("planner.stream_blocks", blocks)
+        obs.add("planner.stream_configs", configs)
 
 
 def evaluate_space_streamed(
@@ -343,54 +344,42 @@ def evaluate_space_streamed(
     :func:`stream_pareto`) when only extrema are needed: they are
     O(block), not O(space).
     """
-    total = _space_size(space)
-    if not obs.active():
-        return _assemble_streamed(
-            model, space, class_name, queueing, service_overlap,
-            max_block_bytes, total,
+    space = _materialize(space)
+    with obs.span("evaluate_space_streamed", configs=len(space)) as sp:
+        result, blocks = _assemble(
+            _blocks(
+                model, space, class_name, queueing, service_overlap,
+                max_block_bytes,
+            ),
+            space,
+            class_name or model.inputs.baseline_class,
         )
-    with obs.span("evaluate_space_streamed", configs=total) as sp:
-        result = _assemble_streamed(
-            model, space, class_name, queueing, service_overlap,
-            max_block_bytes, total,
-        )
-        sp.set(class_name=result.class_name)
+        sp.set(class_name=result.class_name, blocks=blocks)
     return result
 
 
-def _assemble_streamed(
-    model: HybridProgramModel,
+def _assemble(
+    blocks: Iterable[tuple[int, object, VectorizedEvaluation]],
     space: object,
-    class_name: str | None,
-    queueing: str,
-    service_overlap: bool,
-    max_block_bytes: int,
-    total: int,
-) -> VectorizedEvaluation:
+    class_name: str,
+) -> tuple[VectorizedEvaluation, int]:
+    """Fold pipeline blocks over a materialized ``space`` into its full
+    read-only result arrays; returns the evaluation and the block count."""
     arrays = {
-        name: np.empty(total, dtype=field_dtype(name)) for name in ARRAY_FIELDS
+        name: np.empty(len(space), dtype=field_dtype(name))
+        for name in ARRAY_FIELDS
     }
-    cls_name = class_name or model.inputs.baseline_class
-    blocks = 0
-    for offset, vec in stream_blocks(
-        model,
-        space,
-        class_name,
-        queueing=queueing,
-        service_overlap=service_overlap,
-        max_block_bytes=max_block_bytes,
-    ):
-        cls_name = vec.class_name
+    count = 0
+    for offset, _sub, vec in blocks:
         for name in ARRAY_FIELDS:
             arrays[name][offset : offset + len(vec)] = getattr(vec, name)
-        blocks += 1
-    if obs.metrics_enabled():
-        obs.add("planner.stream_blocks", blocks)
-        obs.add("planner.stream_configs", total)
+        count += 1
     for arr in arrays.values():
         arr.setflags(write=False)
-    space_ref = space if vectorized._is_grid(space) else tuple(space)
-    return VectorizedEvaluation(class_name=cls_name, space=space_ref, **arrays)
+    return (
+        VectorizedEvaluation(class_name=class_name, space=space, **arrays),
+        count,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -400,6 +389,9 @@ def _assemble_streamed(
 #: Reduction objectives: ``(score source, constraint source)``.  Scores
 #: are minimized; constraints (when given) mark lanes infeasible.
 STREAM_OBJECTIVES = ("min_energy", "min_time", "max_ucr")
+
+#: Result columns by field name: a block's arrays or the running rows.
+Columns = Mapping[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -445,70 +437,89 @@ def topk_merge(
     return order[: min(k, order.size)]
 
 
-def _block_scores(
-    vec: VectorizedEvaluation,
+def _scores(
+    cols: Columns,
     objective: str,
     deadline_s: float | None,
     budget_j: float | None,
 ) -> np.ndarray:
     """Per-lane minimization scores; infeasible lanes become ``+inf``."""
     if objective == "min_energy":
-        scores = np.array(vec.energies_j, dtype=np.float64)
+        scores = np.array(cols["energies_j"], dtype=np.float64)
         if deadline_s is not None:
-            scores = np.where(vec.times_s <= deadline_s, scores, np.inf)
+            scores = np.where(cols["times_s"] <= deadline_s, scores, np.inf)
         return scores
     if objective == "min_time":
-        scores = np.array(vec.times_s, dtype=np.float64)
+        scores = np.array(cols["times_s"], dtype=np.float64)
         if budget_j is not None:
-            scores = np.where(vec.energies_j <= budget_j, scores, np.inf)
+            scores = np.where(cols["energies_j"] <= budget_j, scores, np.inf)
         return scores
-    if objective == "max_ucr":
-        return -np.array(vec.ucrs, dtype=np.float64)
-    raise ValueError(
-        f"unknown objective {objective!r}; choose from {STREAM_OBJECTIVES}"
-    )
+    return -np.array(cols["ucrs"], dtype=np.float64)
 
 
-def _take_rows(
-    vec: VectorizedEvaluation, local: np.ndarray
-) -> dict[str, np.ndarray]:
-    """The selected rows of every result column of a block."""
-    return {name: np.array(getattr(vec, name)[local]) for name in ARRAY_FIELDS}
-
-
-def _concat_rows(
-    parts: list[dict[str, np.ndarray]]
-) -> dict[str, np.ndarray]:
-    """Concatenate row dicts column-wise (empty parts list allowed)."""
-    out = {}
-    for name in ARRAY_FIELDS:
-        dtype = field_dtype(name)
-        cols = [p[name] for p in parts]
-        out[name] = (
-            np.concatenate(cols)
-            if cols
-            else np.empty(0, dtype=dtype)
-        )
-    return out
-
-
-def _selection(
-    rows: dict[str, np.ndarray],
+def _topk_rows(
+    cols: Columns,
     indices: np.ndarray,
+    *,
+    k: int,
+    objective: str,
+    deadline_s: float | None,
+    budget_j: float | None,
+) -> np.ndarray:
+    """Top-k selector: the ``k`` best feasible rows (see :func:`topk_merge`)."""
+    scores = _scores(cols, objective, deadline_s, budget_j)
+    feasible = np.flatnonzero(np.isfinite(scores))
+    return feasible[topk_merge(scores[feasible], indices[feasible], k)]
+
+
+def _pareto_rows(cols: Columns, indices: np.ndarray) -> np.ndarray:
+    """Pareto selector: the non-dominated rows, in row order."""
+    return np.flatnonzero(pareto_mask(cols["times_s"], cols["energies_j"]))
+
+
+def _select(
+    blocks: Iterable[tuple[int, object, VectorizedEvaluation]],
+    select: Callable[[Columns, np.ndarray], np.ndarray],
     class_name: str,
-    blocks: int,
-    configs: int,
 ) -> StreamedSelection:
-    """Pack reduced rows into a :class:`StreamedSelection`."""
+    """Fold pipeline blocks into a running selection of rows.
+
+    ``select(columns, indices)`` returns the positions to keep among
+    rows whose global flat positions are ``indices``.  Per block it
+    selects the block's local rows, then re-selects over the running
+    rows followed by those.  Running rows always precede the block's,
+    so candidates stay in ascending flat-index order for a selector
+    (Pareto) that breaks duplicates by array order.
+    """
+    rows = {name: np.empty(0, dtype=field_dtype(name)) for name in ARRAY_FIELDS}
+    idx = np.empty(0, dtype=np.int64)
+    count = configs = 0
+    for offset, _sub, vec in blocks:
+        count += 1
+        configs += len(vec)
+        cols = {name: getattr(vec, name) for name in ARRAY_FIELDS}
+        block_idx = offset + np.arange(len(vec), dtype=np.int64)
+        local = select(cols, block_idx)
+        if not local.size:
+            continue
+        cand = {
+            name: np.concatenate((rows[name], cols[name][local]))
+            for name in ARRAY_FIELDS
+        }
+        cand_idx = np.concatenate((idx, block_idx[local]))
+        keep = select(cand, cand_idx)
+        idx = cand_idx[keep]
+        rows = {name: cand[name][keep] for name in ARRAY_FIELDS}
     for name in ARRAY_FIELDS:
         rows[name].setflags(write=False)
-    evaluation = VectorizedEvaluation(
-        class_name=class_name, space=None, **rows
-    )
-    indices = np.array(indices, dtype=np.int64)
-    indices.setflags(write=False)
+    idx.setflags(write=False)
     return StreamedSelection(
-        indices=indices, evaluation=evaluation, blocks=blocks, configs=configs
+        indices=idx,
+        evaluation=VectorizedEvaluation(
+            class_name=class_name, space=None, **rows
+        ),
+        blocks=count,
+        configs=configs,
     )
 
 
@@ -541,93 +552,23 @@ def stream_topk(
         raise ValueError(
             f"unknown objective {objective!r}; choose from {STREAM_OBJECTIVES}"
         )
-    if not obs.active():
-        return _stream_topk(
-            model,
-            space,
-            k,
-            objective,
-            deadline_s,
-            budget_j,
-            class_name,
-            queueing,
-            service_overlap,
-            max_block_bytes,
-        )
     with obs.span("stream_topk", objective=objective, k=k) as sp:
-        selection = _stream_topk(
-            model,
-            space,
-            k,
-            objective,
-            deadline_s,
-            budget_j,
-            class_name,
-            queueing,
-            service_overlap,
-            max_block_bytes,
+        selection = _select(
+            _blocks(
+                model, space, class_name, queueing, service_overlap,
+                max_block_bytes,
+            ),
+            functools.partial(
+                _topk_rows,
+                k=k,
+                objective=objective,
+                deadline_s=deadline_s,
+                budget_j=budget_j,
+            ),
+            class_name or model.inputs.baseline_class,
         )
         sp.set(blocks=selection.blocks, configs=selection.configs)
     return selection
-
-
-def _stream_topk(
-    model: HybridProgramModel,
-    space: object,
-    k: int,
-    objective: str,
-    deadline_s: float | None,
-    budget_j: float | None,
-    class_name: str | None,
-    queueing: str,
-    service_overlap: bool,
-    max_block_bytes: int,
-) -> StreamedSelection:
-    cls_name = class_name or model.inputs.baseline_class
-    run_rows: dict[str, np.ndarray] | None = None
-    run_scores = np.empty(0, dtype=np.float64)
-    run_idx = np.empty(0, dtype=np.int64)
-    blocks = 0
-    configs = 0
-    for offset, vec in stream_blocks(
-        model,
-        space,
-        class_name,
-        queueing=queueing,
-        service_overlap=service_overlap,
-        max_block_bytes=max_block_bytes,
-    ):
-        blocks += 1
-        configs += len(vec)
-        cls_name = vec.class_name
-        scores = _block_scores(vec, objective, deadline_s, budget_j)
-        feasible = np.flatnonzero(np.isfinite(scores))
-        if feasible.size > k:
-            # block-local prefilter: only the block's own top-k can
-            # survive the merge (same stable tie-breaking)
-            feasible = feasible[
-                topk_merge(scores[feasible], feasible.astype(np.int64), k)
-            ]
-        if not feasible.size:
-            continue
-        cand_scores = np.concatenate((run_scores, scores[feasible]))
-        cand_idx = np.concatenate(
-            (run_idx, (offset + feasible).astype(np.int64))
-        )
-        cand_rows = _concat_rows(
-            ([run_rows] if run_rows is not None else [])
-            + [_take_rows(vec, feasible)]
-        )
-        keep = topk_merge(cand_scores, cand_idx, k)
-        run_scores = cand_scores[keep]
-        run_idx = cand_idx[keep]
-        run_rows = {name: cand_rows[name][keep] for name in ARRAY_FIELDS}
-    if run_rows is None:
-        run_rows = _concat_rows([])
-    if obs.metrics_enabled():
-        obs.add("planner.stream_blocks", blocks)
-        obs.add("planner.stream_configs", configs)
-    return _selection(run_rows, run_idx, cls_name, blocks, configs)
 
 
 def stream_pareto(
@@ -651,13 +592,14 @@ def stream_pareto(
     materialized pass keeps.  Memory is O(frontier + block), never
     O(space).
     """
-    if not obs.active():
-        return _stream_pareto(
-            model, space, class_name, queueing, service_overlap, max_block_bytes
-        )
     with obs.span("stream_pareto") as sp:
-        selection = _stream_pareto(
-            model, space, class_name, queueing, service_overlap, max_block_bytes
+        selection = _select(
+            _blocks(
+                model, space, class_name, queueing, service_overlap,
+                max_block_bytes,
+            ),
+            _pareto_rows,
+            class_name or model.inputs.baseline_class,
         )
         sp.set(
             blocks=selection.blocks,
@@ -665,53 +607,6 @@ def stream_pareto(
             frontier=len(selection),
         )
     return selection
-
-
-def _stream_pareto(
-    model: HybridProgramModel,
-    space: object,
-    class_name: str | None,
-    queueing: str,
-    service_overlap: bool,
-    max_block_bytes: int,
-) -> StreamedSelection:
-    from repro.core.pareto import pareto_mask
-
-    cls_name = class_name or model.inputs.baseline_class
-    run_rows: dict[str, np.ndarray] | None = None
-    run_idx = np.empty(0, dtype=np.int64)
-    blocks = 0
-    configs = 0
-    for offset, vec in stream_blocks(
-        model,
-        space,
-        class_name,
-        queueing=queueing,
-        service_overlap=service_overlap,
-        max_block_bytes=max_block_bytes,
-    ):
-        blocks += 1
-        configs += len(vec)
-        cls_name = vec.class_name
-        local = np.flatnonzero(pareto_mask(vec.times_s, vec.energies_j))
-        if not local.size:
-            continue
-        cand_rows = _concat_rows(
-            ([run_rows] if run_rows is not None else [])
-            + [_take_rows(vec, local)]
-        )
-        cand_idx = np.concatenate(
-            (run_idx, (offset + local).astype(np.int64))
-        )
-        keep = pareto_mask(cand_rows["times_s"], cand_rows["energies_j"])
-        run_idx = cand_idx[keep]
-        run_rows = {name: cand_rows[name][keep] for name in ARRAY_FIELDS}
-    if run_rows is None:
-        run_rows = _concat_rows([])
-    if obs.metrics_enabled():
-        obs.add("planner.stream_blocks", blocks)
-        obs.add("planner.stream_configs", configs)
-    return _selection(run_rows, run_idx, cls_name, blocks, configs)
 
 
 # ----------------------------------------------------------------------
@@ -746,7 +641,7 @@ def execute(
     if cache is not None:
         identity = entry_identity(model, space, cls, queueing, service_overlap)
         cached = cache.get(identity)
-    size = _space_size(space)
+    size = len(space)
     if instrument:
         decision = decide(
             size,

@@ -468,8 +468,8 @@ def _compute(
 ) -> VectorizedEvaluation:
     """The broadcast engine itself (no caches, no dispatch).
 
-    :func:`repro.core.planner.execute` and every streamed block
-    (:func:`repro.core.planner.stream_blocks`) call exactly this
+    :func:`repro.core.planner.execute` and every block of the planner's
+    block pipeline (:func:`repro.core.planner._blocks`) call exactly this
     function, which is why streamed results are bit-identical to
     materialized ones.
     """

@@ -165,76 +165,65 @@ class WhatIf:
     ) -> "StreamedSpaceDelta":
         """Base-vs-variant comparison of a space too large to materialize.
 
-        Streams both models block by block in lockstep (identical block
-        boundaries, so deltas subtract aligned configurations) and keeps
-        only running summaries.  Min/max deltas are exact — each block's
-        per-configuration deltas are bit-identical to the materialized
-        ones — while the means accumulate block sums (equal to the
-        materialized mean within floating-point reassociation, well
-        inside the pinned 1e-9 tolerance).
+        Streams the space once through the planner's block pipeline and
+        evaluates the variant on each of its blocks, so deltas subtract
+        aligned configurations, and keeps only running summaries.
+        Min/max deltas are exact — each block's per-configuration deltas
+        are bit-identical to the materialized ones — while the means
+        accumulate block sums (equal to the materialized mean within
+        floating-point reassociation, well inside a 1e-9 relative
+        tolerance).
         """
-        from repro.core import planner
+        from repro.core import planner, vectorized
 
-        kwargs = {} if max_block_bytes is None else {
-            "max_block_bytes": max_block_bytes
-        }
-        base_blocks = planner.stream_blocks(
-            self.model, space, class_name, **kwargs
-        )
-        variant_blocks = planner.stream_blocks(
-            variant, space, class_name, **kwargs
+        blocks = planner._blocks(
+            self.model,
+            space,
+            class_name,
+            "bracketed",
+            True,
+            planner.DEFAULT_MAX_BLOCK_BYTES
+            if max_block_bytes is None
+            else max_block_bytes,
         )
         configs = 0
         sums = np.zeros(3)
         mins = np.full(3, np.inf)
         maxs = np.full(3, -np.inf)
-        if not obs.active():
-            return self._accumulate_streamed(
-                base_blocks, variant_blocks, configs, sums, mins, maxs
-            )
         with obs.span("whatif_streamed") as sp:
-            delta = self._accumulate_streamed(
-                base_blocks, variant_blocks, configs, sums, mins, maxs
-            )
-            sp.set(configs=delta.configs)
+            for _offset, sub, b_vec in blocks:
+                if not len(b_vec):
+                    continue
+                v_vec = vectorized._compute(
+                    variant, sub, class_name, "bracketed", True, instrument=False
+                )
+                deltas = (
+                    v_vec.times_s - b_vec.times_s,
+                    v_vec.energies_j - b_vec.energies_j,
+                    v_vec.ucrs - b_vec.ucrs,
+                )
+                configs += len(b_vec)
+                for i, d in enumerate(deltas):
+                    sums[i] += float(d.sum())
+                    mins[i] = min(mins[i], float(d.min()))
+                    maxs[i] = max(maxs[i], float(d.max()))
+            sp.set(configs=configs)
         if obs.metrics_enabled():
             obs.add("whatif.comparisons")
-        return delta
-
-    @staticmethod
-    def _accumulate_streamed(
-        base_blocks, variant_blocks, configs, sums, mins, maxs
-    ) -> "StreamedSpaceDelta":
-        """Fold lockstep block pairs into running delta summaries."""
-        for (b_off, b_vec), (v_off, v_vec) in zip(base_blocks, variant_blocks):
-            assert b_off == v_off and len(b_vec) == len(v_vec)
-            if not len(b_vec):
-                continue
-            deltas = (
-                v_vec.times_s - b_vec.times_s,
-                v_vec.energies_j - b_vec.energies_j,
-                v_vec.ucrs - b_vec.ucrs,
-            )
-            configs += len(b_vec)
-            for i, d in enumerate(deltas):
-                sums[i] += float(d.sum())
-                mins[i] = min(mins[i], float(d.min()))
-                maxs[i] = max(maxs[i], float(d.max()))
         if not configs:
-            sums = np.zeros(3)
-            mins = np.zeros(3)
-            maxs = np.zeros(3)
+            mins = maxs = np.zeros(3)
+        means = sums / max(configs, 1)
         return StreamedSpaceDelta(
             configs=configs,
             time_delta_min_s=float(mins[0]),
             time_delta_max_s=float(maxs[0]),
-            time_delta_mean_s=float(sums[0] / configs) if configs else 0.0,
+            time_delta_mean_s=float(means[0]),
             energy_delta_min_j=float(mins[1]),
             energy_delta_max_j=float(maxs[1]),
-            energy_delta_mean_j=float(sums[1] / configs) if configs else 0.0,
+            energy_delta_mean_j=float(means[1]),
             ucr_delta_min=float(mins[2]),
             ucr_delta_max=float(maxs[2]),
-            ucr_delta_mean=float(sums[2] / configs) if configs else 0.0,
+            ucr_delta_mean=float(means[2]),
         )
 
 

@@ -30,12 +30,15 @@ DEFAULT_OBS_ENTRY_POINTS: tuple[str, ...] = (
     "repro.core.pareto.pareto_frontier",
     "repro.core.planner.decide",
     "repro.core.planner.evaluate_space_streamed",
+    "repro.core.planner.stream_pareto",
+    "repro.core.planner.stream_topk",
     "repro.core.scaling.strong_scaling",
     "repro.core.scaling.weak_scaling",
     "repro.core.search.search_min_energy_within_deadline",
     "repro.core.search.search_min_time_within_budget",
     "repro.core.whatif.WhatIf.compare",
     "repro.pipeline.runner.run_pipeline",
+    "repro.resilience.pipeline.evaluate_space_checkpointed",
     "repro.serve.app.ServeApp.handle",
 )
 

@@ -2,12 +2,12 @@
 
 Two pieces live here, both sitting *above* the measurement / model layers:
 
-* :func:`evaluate_space_checkpointed` — the configuration-space sweep cut
-  into fixed chunks, each chunk persisted to a :class:`~repro.resilience.
-  checkpoint.Checkpoint` as it completes.  An interrupted sweep resumed
-  from its checkpoint is bit-identical to an uninterrupted one: chunking
-  is deterministic, each chunk is evaluated by the same
-  :func:`~repro.core.vectorized.evaluate_many` call, and Python floats
+* :func:`evaluate_space_checkpointed` — the configuration-space sweep
+  run through the planner's block pipeline, each block persisted to a
+  :class:`~repro.resilience.checkpoint.Checkpoint` as it completes.  An
+  interrupted sweep resumed from its checkpoint is bit-identical to an
+  uninterrupted one: the blocks are fixed by the space and the budget,
+  each is computed by the same broadcast engine, and Python floats
   round-trip JSON exactly.
 
 * the **coverage record** — when a chaos-afflicted campaign loses samples
@@ -28,41 +28,19 @@ import pathlib
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from repro import obs
 from repro import resilience
-from repro.core.cache import ARRAY_FIELDS, field_dtype
+from repro.core import planner
+from repro.core.cache import entry_identity
 from repro.core.configspace import SpaceEvaluation
 from repro.core.model import HybridProgramModel
-from repro.core.vectorized import (
-    VectorizedEvaluation,
-    evaluate_many,
-    model_identity,
-)
-from repro.machines.spec import Configuration
 from repro.resilience import InstrumentStats, ResilienceContext
 from repro.resilience.checkpoint import Checkpoint, fingerprint
 
-#: Default number of configurations evaluated (and persisted) per chunk.
-DEFAULT_CHUNK_SIZE = 64
-
-
-def space_digest(
-    model: HybridProgramModel,
-    configs: tuple[Configuration, ...],
-    class_name: str,
-    chunk_size: int,
-) -> str:
-    """Fingerprint of one space-evaluation campaign's full identity."""
-    return fingerprint(
-        {
-            "model": model_identity(model),
-            "space": [(c.nodes, c.cores, c.frequency_hz) for c in configs],
-            "class_name": class_name,
-            "chunk_size": chunk_size,
-        }
-    )
+#: Checkpoint task of a block-pipeline sweep.  It differs from the task
+#: ``evaluate_space`` of the earlier 64-config chunk files so that
+#: :meth:`Checkpoint.open` refuses such a file instead of misreading it.
+TASK = "evaluate_space_blocks"
 
 
 def evaluate_space_checkpointed(
@@ -70,57 +48,47 @@ def evaluate_space_checkpointed(
     space: object,
     class_name: str | None = None,
     checkpoint_path: str | pathlib.Path | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> SpaceEvaluation:
-    """Evaluate a configuration space in checkpointed chunks.
+    """Evaluate a configuration space, persisting it block by block.
 
-    Equivalent to :func:`repro.core.configspace.evaluate_space` (every
-    chunk runs through the same vectorized engine), but progress persists:
-    re-invoking with the same model/space/options and an existing
-    checkpoint file skips completed chunks and recomputes only the rest.
-    A resumed sweep's arrays are bit-identical to an uninterrupted one's.
+    Runs the planner's block pipeline under the active
+    ``max_block_bytes`` budget (else the default) and assembles the
+    blocks like :func:`~repro.core.planner.evaluate_space_streamed`, so
+    the arrays equal :func:`repro.core.configspace.evaluate_space` bit
+    for bit.  With ``checkpoint_path`` every computed block is recorded;
+    re-invoking with the same model, space, class and budget skips the
+    recorded blocks and computes only the rest.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    configs = tuple(space)
-    if not configs:
+    space = planner._materialize(space)
+    if not len(space):
         raise ValueError("configuration space is empty")
     cls = class_name or model.inputs.baseline_class
-
+    config = planner.active_config()
+    budget = (config and config.max_block_bytes) or planner.DEFAULT_MAX_BLOCK_BYTES
     checkpoint: Checkpoint | None = None
     if checkpoint_path is not None:
         checkpoint = Checkpoint.open(
             checkpoint_path,
-            "evaluate_space",
-            space_digest(model, configs, cls, chunk_size),
+            TASK,
+            fingerprint(
+                {
+                    "entry": entry_identity(model, space, cls, "bracketed", True),
+                    "max_block_bytes": budget,
+                }
+            ),
         )
-
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in ARRAY_FIELDS}
-    for index, pos in enumerate(range(0, len(configs), chunk_size)):
-        chunk = configs[pos : pos + chunk_size]
-        key = f"chunk{index}"
-        payload = checkpoint.get(key) if checkpoint is not None else None
-        if payload is not None:
-            obs.add("resilience.checkpoint.chunks_skipped")
-            for name in ARRAY_FIELDS:
-                parts[name].append(
-                    np.asarray(payload[name], dtype=field_dtype(name))
-                )
-            continue
-        vec = evaluate_many(model, chunk, cls)
-        for name in ARRAY_FIELDS:
-            parts[name].append(getattr(vec, name))
-        if checkpoint is not None:
-            # every field, derived ones too: a resumed sweep reproduces an
-            # uninterrupted one bit for bit without re-deriving
-            checkpoint.record(
-                key, {name: getattr(vec, name).tolist() for name in ARRAY_FIELDS}
-            )
-
-    arrays = {name: np.concatenate(parts[name]) for name in ARRAY_FIELDS}
-    for arr in arrays.values():
-        arr.setflags(write=False)
-    result = VectorizedEvaluation(class_name=cls, space=configs, **arrays)
+    with obs.span("evaluate_space_checkpointed", configs=len(space)) as sp:
+        result, blocks = planner._assemble(
+            planner._blocks(
+                model, space, cls, "bracketed", True, budget, checkpoint
+            ),
+            space,
+            cls,
+        )
+        sp.set(
+            blocks=blocks,
+            resumed=checkpoint.resumed if checkpoint is not None else 0,
+        )
     return SpaceEvaluation(predictions=result.predictions, vectorized=result)
 
 

@@ -33,6 +33,7 @@ import pytest
 from repro import resilience
 from repro.core.configspace import ConfigSpace
 from repro.core.model import HybridProgramModel
+from repro.core.planner import WORKING_BYTES_PER_CONFIG, planner_config
 from repro.machines.arm import arm_cluster
 from repro.resilience.pipeline import (
     characterize_resilient,
@@ -165,13 +166,14 @@ class TestInterruptResume:
     def test_evaluate_space_resume_is_bit_identical(self, arm_cp_model, tmp_path):
         space = ConfigSpace.physical(arm_cluster())
         ck = tmp_path / "space.json"
-        full = evaluate_space_checkpointed(
-            arm_cp_model, space, checkpoint_path=ck, chunk_size=16
-        )
-        self._truncate(ck, keep=4)
-        resumed = evaluate_space_checkpointed(
-            arm_cp_model, space, checkpoint_path=ck, chunk_size=16
-        )
+        with planner_config(max_block_bytes=16 * WORKING_BYTES_PER_CONFIG):
+            full = evaluate_space_checkpointed(
+                arm_cp_model, space, checkpoint_path=ck
+            )
+            self._truncate(ck, keep=4)
+            resumed = evaluate_space_checkpointed(
+                arm_cp_model, space, checkpoint_path=ck
+            )
         v_full, v_res = full.vectorized, resumed.vectorized
         for name in ("times_s", "energies_j", "ucrs", "rho_network"):
             assert np.array_equal(getattr(v_full, name), getattr(v_res, name)), name
@@ -212,12 +214,10 @@ class TestInterruptResume:
 
         space = ConfigSpace.physical(arm_cluster())
         plain = evaluate_space(arm_cp_model, space)
-        via_ck = evaluate_space_checkpointed(
-            arm_cp_model,
-            space,
-            checkpoint_path=tmp_path / "space.json",
-            chunk_size=16,
-        )
+        with planner_config(max_block_bytes=16 * WORKING_BYTES_PER_CONFIG):
+            via_ck = evaluate_space_checkpointed(
+                arm_cp_model, space, checkpoint_path=tmp_path / "space.json"
+            )
         assert np.array_equal(
             plain.vectorized.times_s, via_ck.vectorized.times_s
         )

@@ -210,3 +210,31 @@ def test_empty_explicit_sequence(xeon_sp_model):
     assert len(streamed) == 0
     selection = stream_pareto(xeon_sp_model, (), max_block_bytes=1)
     assert len(selection) == 0
+
+
+@given(budget=_budgets)
+@settings(deadline=None, suppress_health_check=_suppress)
+def test_one_shot_iterable_is_read_once(budget, xeon_sp_model):
+    """A generator space streams exactly like the tuple it yields."""
+    cfgs = tuple(_SPACE)
+    full = _compute(xeon_sp_model, cfgs, None, "bracketed", True, False)
+    streamed = evaluate_space_streamed(
+        xeon_sp_model, (c for c in cfgs), max_block_bytes=budget
+    )
+    _assert_bit_identical(full, streamed)
+    assert streamed.configs == cfgs
+    assert len(streamed.predictions) == len(cfgs)
+    top = stream_topk(
+        xeon_sp_model, (c for c in cfgs), 3, max_block_bytes=budget
+    )
+    np.testing.assert_array_equal(
+        top.indices, np.argsort(full.energies_j, kind="stable")[:3]
+    )
+    front = stream_pareto(
+        xeon_sp_model, (c for c in cfgs), max_block_bytes=budget
+    )
+    np.testing.assert_array_equal(
+        front.indices,
+        np.flatnonzero(pareto_mask(full.times_s, full.energies_j)),
+    )
+    assert top.configs == front.configs == len(cfgs)

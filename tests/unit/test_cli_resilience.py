@@ -107,6 +107,31 @@ def test_checkpoint_for_other_task_exits_with_message(tmp_path, capsys):
     assert "belongs to task" in capsys.readouterr().err
 
 
+def test_pareto_checkpoint_resumes_identically_and_refuses_old_task(
+    tmp_path, capsys
+):
+    ck = tmp_path / "space.json"
+    argv = ["pareto", "--cluster", "arm", "--program", "CP", "--checkpoint", str(ck)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0  # every block read back from the checkpoint
+    assert capsys.readouterr().out == first
+    # a file of the retired chunk layout records the old task name
+    ck.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "kind": "repro_checkpoint",
+                "task": "evaluate_space",
+                "fingerprint": "deadbeefdeadbeef",
+                "completed": {},
+            }
+        )
+    )
+    assert main(argv) == 1
+    assert "belongs to task 'evaluate_space'" in capsys.readouterr().err
+
+
 def test_zero_timeout_is_rejected_before_any_measurement(capsys):
     code = main(["--timeout", "0", "netpipe", "--cluster", "arm"])
     assert code == 2

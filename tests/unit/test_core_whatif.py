@@ -79,3 +79,41 @@ def test_original_model_never_mutated(xeon_sp_model):
     before = xeon_sp_model.predict(cfg).time_s
     WhatIf(xeon_sp_model).memory_bandwidth(4.0)
     assert xeon_sp_model.predict(cfg).time_s == before
+
+
+@pytest.mark.parametrize("blocks", [1, 7, 10**6])
+def test_compare_streamed_matches_materialized(xeon_sp_model, blocks):
+    from repro.core.configspace import ConfigSpace
+    from repro.core.planner import WORKING_BYTES_PER_CONFIG
+
+    space = ConfigSpace(
+        node_counts=(1, 2, 4, 8), core_counts=(1, 4, 8),
+        frequencies_hz=(1.2e9, 1.8e9),
+    )
+    whatif = WhatIf(xeon_sp_model)
+    variant = whatif.memory_bandwidth(2.0)
+    full = whatif.compare(variant, space)
+    streamed = whatif.compare_streamed(
+        variant, space, max_block_bytes=blocks * WORKING_BYTES_PER_CONFIG
+    )
+    assert streamed.configs == len(space)
+    for deltas, lo, hi, mean in (
+        (full.time_delta_s, "time_delta_min_s", "time_delta_max_s",
+         "time_delta_mean_s"),
+        (full.energy_delta_j, "energy_delta_min_j", "energy_delta_max_j",
+         "energy_delta_mean_j"),
+        (full.ucr_delta, "ucr_delta_min", "ucr_delta_max", "ucr_delta_mean"),
+    ):
+        assert getattr(streamed, lo) == float(deltas.min())
+        assert getattr(streamed, hi) == float(deltas.max())
+        assert getattr(streamed, mean) == pytest.approx(
+            float(deltas.mean()), rel=1e-9
+        )
+
+
+def test_compare_streamed_of_an_empty_space_is_all_zero(xeon_sp_model):
+    whatif = WhatIf(xeon_sp_model)
+    delta = whatif.compare_streamed(whatif.memory_bandwidth(2.0), ())
+    assert delta.configs == 0
+    assert delta.time_delta_min_s == delta.time_delta_mean_s == 0.0
+    assert delta.energy_delta_max_j == delta.ucr_delta_mean == 0.0
