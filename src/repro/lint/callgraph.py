@@ -30,6 +30,10 @@ from dataclasses import dataclass, field
 from repro.lint.project import Module, Project
 from repro.lint.symbols import FunctionSymbol, ModuleSymbols, SymbolTable
 
+#: :mod:`repro.obs` calls that open a span (RL005).  Counters and
+#: histograms (``obs.add``/``obs.observe``) do not count.
+SPAN_CALLS = frozenset({"repro.obs.span"})
+
 #: Method names that mutate their receiver in place.
 MUTATING_METHODS = frozenset(
     {
@@ -144,7 +148,8 @@ class FunctionInfo:
     calls: dict[str, int] = field(default_factory=dict)
     call_sites: list[CallSite] = field(default_factory=list)
     method_calls: list[MethodCall] = field(default_factory=list)
-    has_obs: bool = False
+    #: calls a span-opening :mod:`repro.obs` function (:data:`SPAN_CALLS`)
+    opens_span: bool = False
     mutations: list[GlobalMutation] = field(default_factory=list)
     acquisitions: list[LockAcquisition] = field(default_factory=list)
     accesses: list[GuardedAccess] = field(default_factory=list)
@@ -212,16 +217,17 @@ class CallGraph:
         return seen
 
     def instrumented(self, qualname: str) -> bool:
-        """True when the function calls :mod:`repro.obs` directly, or
-        directly calls a resolvable function that does (one delegation
-        level — the span still opens on every invocation)."""
+        """True when the function opens a :mod:`repro.obs` span directly,
+        or directly calls a resolvable function that does (one delegation
+        level — the span still opens on every invocation).  A counter
+        (``obs.add``) is not a span: it leaves the trace blank."""
         info = self.functions.get(qualname)
         if info is None:
             return False
-        if info.has_obs:
+        if info.opens_span:
             return True
         return any(
-            callee in self.functions and self.functions[callee].has_obs
+            callee in self.functions and self.functions[callee].opens_span
             for callee in info.calls
         )
 
@@ -307,8 +313,8 @@ class _FunctionVisitor(ast.NodeVisitor):
             self.info.call_sites.append(
                 CallSite(callee=resolved, line=node.lineno, held=tuple(self.held))
             )
-            if resolved.startswith("repro.obs."):
-                self.info.has_obs = True
+            if resolved in SPAN_CALLS:
+                self.info.opens_span = True
             if resolved.rsplit(".", 1)[-1] == "acquire":
                 owner = resolved.rsplit(".", 1)[0]
                 if owner in self.symbols.locks:

@@ -15,6 +15,12 @@ function uses the tmp+rename idiom (an ``os.replace``/``os.rename``/
 ``Path.rename`` call, with the written target named like a temp file)
 or targets an in-memory ``io.BytesIO``/``io.StringIO`` buffer.
 
+One append journal is exempt: the single function named by
+``config.atomic_appender`` (the checkpoint ledger's line appender) may
+``open(path, "a")``.  Its reader drops a torn last line, so a crash
+mid-append loses only the unit being written.  Any other write in that
+function, and any append anywhere else, is still checked.
+
 The tmp half must also be private to its writer.  A temp name built from
 ``os.getpid()`` alone is shared by every thread of the process: two
 engine-pool threads writing one entry then clobber (or rename away) each
@@ -27,6 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint.analysis import analyze
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import Module, Project, import_aliases, resolve_dotted
@@ -64,19 +71,26 @@ _THREAD_UNIQUE_CALLS = frozenset(
 _WRITE_MODES = ("w", "a", "x")
 
 
+def _open_mode(call: ast.Call, resolved: str | None) -> str | None:
+    """The literal mode of an ``open()`` call, else ``None``."""
+    func = call.func
+    if not (isinstance(func, ast.Name) and func.id == "open" or resolved == "open"):
+        return None
+    mode: ast.expr | None = call.args[1] if len(call.args) > 1 else None
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            mode = keyword.value
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return mode.value
+    return None
+
+
 def _call_target(call: ast.Call, resolved: str | None) -> ast.expr | None:
     """The destination expression of a recognized write call."""
     func = call.func
     if isinstance(func, ast.Name) and func.id == "open" or resolved == "open":
-        mode: ast.expr | None = call.args[1] if len(call.args) > 1 else None
-        for keyword in call.keywords:
-            if keyword.arg == "mode":
-                mode = keyword.value
-        if (
-            isinstance(mode, ast.Constant)
-            and isinstance(mode.value, str)
-            and mode.value.startswith(_WRITE_MODES)
-        ):
+        mode = _open_mode(call, resolved)
+        if mode is not None and mode.startswith(_WRITE_MODES):
             return call.args[0] if call.args else None
         return None
     if resolved in _PATH_WRITERS and call.args:
@@ -97,12 +111,19 @@ class AtomicIoChecker:
 
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         """Scan atomic-scoped modules and marker-matching writes."""
+        appender = analyze(project).symbols.functions.get(config.atomic_appender)
         for module in project.modules:
             scoped = config.path_matches(module.rel, config.atomic_modules)
-            yield from self._check_module(module, scoped, config)
+            yield from self._check_module(
+                module, scoped, config, appender.node if appender else None
+            )
 
     def _check_module(
-        self, module: Module, scoped: bool, config: LintConfig
+        self,
+        module: Module,
+        scoped: bool,
+        config: LintConfig,
+        appender: ast.AST | None,
     ) -> Iterator[Finding]:
         aliases = import_aliases(module.tree)
         for func_node, calls in _functions_with_calls(module.tree):
@@ -117,6 +138,10 @@ class AtomicIoChecker:
                 target = _call_target(call, resolved)
                 if target is None:
                     continue
+                if func_node is appender and (
+                    _open_mode(call, resolved) or ""
+                ).startswith("a"):
+                    continue  # the append journal: open() drops a torn tail
                 target_text = ast.unparse(target)
                 in_scope = scoped or any(
                     marker in target_text.lower()

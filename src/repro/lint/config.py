@@ -124,6 +124,11 @@ class LintConfig:
     #: data in modules outside :attr:`atomic_modules`.
     atomic_target_markers: tuple[str, ...] = ("cache", "checkpoint")
 
+    #: RL004 — the one function allowed to ``open(path, "a")`` an atomic
+    #: file: the checkpoint ledger's appender, whose reader drops a torn
+    #: last line (``Checkpoint.open``).
+    atomic_appender: str = "repro.resilience.checkpoint.Checkpoint._append"
+
     #: RL005 — qualified names of pipeline entry points requiring spans.
     obs_entry_points: tuple[str, ...] = field(
         default=DEFAULT_OBS_ENTRY_POINTS

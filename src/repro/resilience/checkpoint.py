@@ -1,12 +1,21 @@
 """Checkpoint/resume for long measurement and evaluation campaigns.
 
-A checkpoint is one JSON file recording which units of a campaign (baseline
-``(c, f)`` points, evaluation chunks, search chunks) completed and what
+A checkpoint is one file recording which units of a campaign (baseline
+``(c, f)`` points, evaluation blocks, search chunks) completed and what
 they produced.  Guarantees:
 
-* **Atomic writes** — the file is rewritten through a temp file +
-  :func:`os.replace`, so a crash mid-write leaves the previous valid
-  checkpoint, never a torn one.
+* **Append-only ledger** — line 1 is the JSON document (kind, format
+  version, task, fingerprint, ``completed`` map), written atomically
+  through a temp file + :func:`os.replace` when the first unit is
+  recorded.  Every later unit is one appended ``[key, payload]`` JSON
+  line, so recording a unit costs that unit's bytes, not the whole
+  ledger's.  A one-line file is the complete document, which is what
+  earlier versions wrote, so their checkpoints still resume.
+* **Torn-tail rule** — a crash mid-append can only tear the last line.
+  :meth:`Checkpoint.open` drops a last line that lacks its newline or
+  does not parse, and rewrites the kept prefix once (temp file +
+  rename) before the next append.  A bad header, or a bad line before
+  the last, is corruption the ledger cannot explain and is refused.
 * **Fingerprinted identity** — every checkpoint embeds a digest of the
   campaign's full identity (model parameters, space, seeds, options).
   Resuming against a different campaign is refused with an actionable
@@ -74,6 +83,14 @@ def atomic_write_json(path: pathlib.Path, document: dict[str, Any]) -> None:
     atomic_write_text(path, json.dumps(document, sort_keys=True) + "\n")
 
 
+def _decode_unit(line: bytes) -> tuple[str, Any]:
+    """One appended ``[key, payload]`` ledger line."""
+    unit = json.loads(line)
+    if not (isinstance(unit, list) and len(unit) == 2 and isinstance(unit[0], str)):
+        raise ValueError("not a [key, payload] pair")
+    return unit[0], unit[1]
+
+
 class Checkpoint:
     """One campaign's completed-unit ledger, persisted after every unit."""
 
@@ -89,6 +106,8 @@ class Checkpoint:
         self.digest = digest
         self._completed: dict[str, Any] = completed or {}
         self.resumed = len(self._completed)
+        #: whether the header line exists, so units can be appended
+        self._on_disk = False
 
     @classmethod
     def open(cls, path: str | pathlib.Path, task: str, digest: str) -> "Checkpoint":
@@ -96,13 +115,20 @@ class Checkpoint:
 
         Raises :class:`CheckpointError` when the file exists but is not a
         valid checkpoint, records a different task, or fingerprints a
-        different campaign configuration.
+        different campaign configuration.  A torn last line is dropped
+        (see the module docstring), and the file is cut back to its
+        valid prefix.
         """
         p = pathlib.Path(path)
         if not p.exists():
             return cls(p, task, digest)
+        raw = p.read_bytes()
+        complete = raw.endswith(b"\n")
+        header, *units = raw.split(b"\n")
+        if units:
+            units.pop()  # empty, or a torn append that lost its newline
         try:
-            data = json.loads(p.read_text())
+            data = json.loads(header)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointError(
                 f"checkpoint {p} is not valid JSON ({exc}); delete it to "
@@ -129,7 +155,26 @@ class Checkpoint:
                 "configuration (model, space, seed or options changed); "
                 "delete it or point --checkpoint at a fresh file"
             )
-        ck = cls(p, task, digest, completed=dict(data.get("completed", {})))
+        completed = dict(data.get("completed", {}))
+        kept = len(units)
+        for number, line in enumerate(units, start=2):
+            try:
+                key, payload = _decode_unit(line)
+            except ValueError as exc:
+                if number == len(units) + 1 and complete:
+                    kept -= 1  # an unreadable last line: a torn append
+                    break
+                raise CheckpointError(
+                    f"checkpoint {p} line {number} is corrupt ({exc}); "
+                    "delete it to start the campaign from scratch"
+                ) from exc
+            completed[key] = payload  # a later line wins
+        if kept < len(units) or not complete:
+            atomic_write_bytes(
+                p, b"".join(line + b"\n" for line in [header, *units[:kept]])
+            )
+        ck = cls(p, task, digest, completed=completed)
+        ck._on_disk = True
         if ck.resumed:
             obs.add("resilience.checkpoint.resumes")
             obs.add("resilience.checkpoint.resumed_units", ck.resumed)
@@ -143,9 +188,16 @@ class Checkpoint:
         return self._completed.get(key)
 
     def record(self, key: str, payload: Any) -> None:
-        """Mark one unit complete and persist the checkpoint atomically."""
+        """Mark one unit complete and persist it.
+
+        The first unit creates the file atomically with the header line;
+        every later one is appended as one ``[key, payload]`` line.
+        """
         self._completed[key] = payload
         obs.add("resilience.checkpoint.units_saved")
+        if self._on_disk:
+            self._append(json.dumps([key, payload], sort_keys=True) + "\n")
+            return
         atomic_write_json(
             self.path,
             {
@@ -156,6 +208,16 @@ class Checkpoint:
                 "completed": self._completed,
             },
         )
+        self._on_disk = True
+
+    def _append(self, line: str) -> None:
+        """Append one complete ledger line.
+
+        The ledger's only write that is not tmp+rename: a crash here can
+        tear just this last line, which :meth:`open` drops on resume.
+        """
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line)
 
 
 # ----------------------------------------------------------------------

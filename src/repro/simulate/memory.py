@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.machines.spec import ClusterSpec, Configuration
 from repro.simulate.cpu import ComputeDemand
-from repro.simulate.queueing import lindley_wait_sums
+from repro.simulate.queueing import fifo_sort, lindley_wait_sums
 
 #: Request batches per thread per iteration.  Large enough to interleave
 #: threads realistically, small enough to keep arrays tiny.
@@ -102,9 +102,7 @@ def resolve_memory(
     bw_service = batch_bytes / bandwidth
     lat_exposure = batch_bytes * lines_per_byte * latency_per_line
 
-    order = np.argsort(arrivals, axis=-1, kind="stable")
-    sorted_arrivals = np.take_along_axis(arrivals, order, axis=-1)
-    sorted_service = np.take_along_axis(bw_service, order, axis=-1)
+    _, sorted_arrivals, sorted_service = fifo_sort(arrivals, bw_service)
 
     # Real contention interleaves at cache-line granularity, so every
     # thread sees the same *average* queue — the per-iteration total

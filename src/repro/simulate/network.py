@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.machines.spec import ClusterSpec, Configuration
 from repro.simulate.noise import NoiseModel
-from repro.simulate.queueing import lindley_waits
+from repro.simulate.queueing import fifo_sort, lindley_waits
 from repro.workloads.base import HybridProgram
 
 #: Fraction of the compute burst during which sends are posted (the tail).
@@ -173,9 +173,7 @@ def resolve_network(
         gather = np.stack([port_indices[q] for q in ports])  # (P, K)
         arr_q = egress_flat[..., gather]  # (S, P, K)
         svc_q = service_flat[..., gather]
-        order = np.argsort(arr_q, axis=-1, kind="stable")
-        sorted_arr = np.take_along_axis(arr_q, order, axis=-1)
-        sorted_svc = np.take_along_axis(svc_q, order, axis=-1)
+        _, sorted_arr, sorted_svc = fifo_sort(arr_q, svc_q)
         waits = lindley_waits(sorted_arr, sorted_svc)
         completions = sorted_arr + waits + sorted_svc
         receive_complete[..., ports] = completions.max(axis=-1)

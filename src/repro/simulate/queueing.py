@@ -33,6 +33,7 @@ import numpy as np
 from repro.mg1 import mg1_mean_wait
 
 __all__ = [
+    "fifo_sort",
     "lindley_waits",
     "lindley_wait_sums",
     "lindley_waits_loop",
@@ -141,6 +142,56 @@ def lindley_waits_loop(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray
     return waits
 
 
+def _stable_argsort(arrivals: np.ndarray) -> np.ndarray:
+    """Row-wise stable argsort: ties keep their input order."""
+    return np.argsort(arrivals, axis=-1, kind="stable")
+
+
+def _gather(
+    arrivals: np.ndarray, streams: tuple[np.ndarray, ...], order: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Row-local ``order`` made flat, and every array gathered through it."""
+    width = arrivals.shape[-1]
+    flat = np.add(
+        order,
+        np.arange(0, arrivals.size, width).reshape(arrivals.shape[:-1] + (1,)),
+        out=order,
+    )
+    return (flat,) + tuple(a.ravel().take(flat) for a in (arrivals, *streams))
+
+
+def fifo_sort(
+    arrivals: np.ndarray, *streams: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Put every row of ``arrivals`` into FIFO (ascending) order.
+
+    ``streams`` (service times, owners, ...) share ``arrivals``' shape and
+    are permuted alongside.  Returns ``(order, sorted_arrivals,
+    *sorted_streams)``, where ``order`` indexes the flattened arrays.
+
+    The sort is NumPy's default (SIMD) argsort, gathered by one flat
+    ``take`` per array.  When every sorted row is strictly increasing the
+    sorting permutation is unique, so it is the stable one bit for bit on
+    any host.  A row with a tie (a zero-span thread puts every arrival at
+    0.0) or a NaN fails that check and the whole call falls back to the
+    stable sort, which serves tied requests in input order.
+    """
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    streams = tuple(np.asarray(s) for s in streams)
+    if arrivals.ndim == 0:
+        raise ValueError("arrivals must have a request axis")
+    if any(s.shape != arrivals.shape for s in streams):
+        raise ValueError("every stream must have the shape of arrivals")
+    if arrivals.size == 0:
+        order = np.zeros(arrivals.shape, dtype=np.intp)
+        return (order, arrivals.copy(), *(s.copy() for s in streams))
+    gathered = _gather(arrivals, streams, np.argsort(arrivals, axis=-1))
+    ranked = gathered[1]
+    if not np.all(ranked[..., 1:] > ranked[..., :-1]):
+        gathered = _gather(arrivals, streams, _stable_argsort(arrivals))
+    return gathered
+
+
 def merge_request_streams(
     arrivals: np.ndarray, services: np.ndarray, owners: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -160,11 +211,10 @@ def merge_request_streams(
     ``(sorted_arrivals, sorted_services, sorted_owners, order)`` where
     ``order`` is the permutation applied (so results can be scattered back).
     """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    order = np.argsort(arrivals, kind="stable")
-    return arrivals[order], np.asarray(services, dtype=np.float64)[order], np.asarray(
-        owners
-    )[order], order
+    order, arrivals, services, owners = fifo_sort(
+        arrivals, np.asarray(services, dtype=np.float64), owners
+    )
+    return arrivals, services, owners, order
 
 
 def per_owner_totals(

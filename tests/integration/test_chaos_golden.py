@@ -139,11 +139,11 @@ class TestInterruptResume:
     one: same checkpoint file, half its units erased, re-run."""
 
     def _truncate(self, path: pathlib.Path, keep: int) -> None:
-        doc = json.loads(path.read_text())
-        kept = dict(list(doc["completed"].items())[:keep])
-        assert 0 < len(kept) < len(doc["completed"]), "truncation must bite"
-        doc["completed"] = kept
-        path.write_text(json.dumps(doc))
+        """Cut the ledger to its first ``keep`` units: the header line
+        (which carries the first unit) plus the next ``keep - 1`` lines."""
+        lines = path.read_text().splitlines(keepends=True)
+        assert 0 < keep < len(lines), "truncation must bite"
+        path.write_text("".join(lines[:keep]))
 
     def test_baseline_sweep_resume_is_bit_identical(self, tmp_path):
         sim = SimulatedCluster(arm_cluster())

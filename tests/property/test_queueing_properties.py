@@ -1,11 +1,16 @@
 """Property-based tests of the Lindley queueing machinery."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.simulate.queueing import lindley_waits, lindley_waits_loop, mg1_mean_wait
+from repro.simulate.queueing import (
+    fifo_sort,
+    lindley_waits,
+    lindley_waits_loop,
+    mg1_mean_wait,
+)
 
 finite = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -100,4 +105,48 @@ def test_mg1_wait_increases_with_load(y):
     lam_high = 0.8 / y
     assert mg1_mean_wait(lam_high, y, 2 * y * y) > mg1_mean_wait(
         lam_low, y, 2 * y * y
+    )
+
+
+# arrival values drawn from a tiny pool force ties, all-zero rows,
+# repeated values and NaNs; free floats give rows without ties
+arrival_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, float("nan")]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+def _tied_rows():
+    """(arrivals, services) of shape (rows, width), services all distinct."""
+    return st.tuples(st.integers(1, 4), st.integers(1, 48)).flatmap(
+        lambda shape: st.tuples(
+            hnp.arrays(np.float64, shape, elements=arrival_values),
+            st.just(np.arange(shape[0] * shape[1], dtype=np.float64).reshape(shape)),
+        )
+    )
+
+
+@given(_tied_rows())
+@example(  # one wide all-tied row: a non-stable sort reorders it
+    (np.zeros((1, 48)), np.arange(48, dtype=np.float64).reshape(1, 48))
+)
+@example(
+    (
+        np.tile([2.5, 0.0, 1.0], (3, 16)),
+        np.arange(144, dtype=np.float64).reshape(3, 48),
+    )
+)
+@settings(max_examples=200)
+def test_fifo_sort_equals_stable_argsort_bytes(rows):
+    """Tied requests are served in input order, bit for bit."""
+    arrivals, services = rows
+    order = np.argsort(arrivals, axis=-1, kind="stable")
+    _, got_arrivals, got_services = fifo_sort(arrivals, services)
+    assert (
+        got_arrivals.tobytes()
+        == np.take_along_axis(arrivals, order, axis=-1).tobytes()
+    )
+    assert (
+        got_services.tobytes()
+        == np.take_along_axis(services, order, axis=-1).tobytes()
     )

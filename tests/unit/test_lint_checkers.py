@@ -387,6 +387,60 @@ class TestAtomicIoRL004:
         assert len(result.findings) == 1
 
 
+    _LEDGER = """\
+    class Ledger:
+        def _append(self, line):
+            with open(self.path, "a") as fh:
+                fh.write(line)
+
+        def _rewrite(self, line):
+            with open(self.path, "w") as fh:
+                fh.write(line)
+
+
+    def journal(path, line):
+        with open(path, "a") as fh:
+            fh.write(line)
+    """
+
+    def test_named_appender_alone_may_append(self, tmp_path):
+        result = _lint(
+            tmp_path,
+            ["RL004"],
+            {"ledger.py": self._LEDGER},
+            atomic_modules=("ledger.py",),
+            atomic_appender="ledger.Ledger._append",
+        )
+        # the appender's append passes; its sibling's truncating write
+        # and an append in any other function are still bare writes
+        assert [f.line for f in result.findings] == [7, 12]
+        assert {f.rule for f in result.findings} == {"RL004"}
+
+    def test_append_is_flagged_without_the_named_appender(self, tmp_path):
+        result = _lint(
+            tmp_path,
+            ["RL004"],
+            {"ledger.py": self._LEDGER},
+            atomic_modules=("ledger.py",),
+        )
+        assert [f.line for f in result.findings] == [3, 7, 12]
+
+    def test_append_at_a_checkpoint_path_is_flagged(self, tmp_path):
+        result = _lint(
+            tmp_path,
+            ["RL004"],
+            {
+                "mod.py": """\
+                def log(checkpoint_path, line):
+                    with open(checkpoint_path, "a") as fh:
+                        fh.write(line)
+                """
+            },
+        )
+        assert len(result.findings) == 1
+        assert "checkpoint_path" in result.findings[0].message
+
+
 _OBS_CONFIG = {"obs_entry_points": ("pipe.stage",)}
 
 
@@ -440,6 +494,31 @@ class TestObsCoverageRL005:
             **_OBS_CONFIG,
         )
         assert result.ok
+
+    def test_counter_only_delegation_is_flagged(self, tmp_path):
+        # a counter is not a span: the trace of stage() would be blank
+        result = _lint(
+            tmp_path,
+            ["RL005"],
+            {
+                "pipe.py": """\
+                from repro import obs
+
+
+                def _impl(x):
+                    obs.add("pipe.calls")
+                    return x
+
+
+                def stage(x):
+                    obs.add("pipe.stages")
+                    return _impl(x)
+                """
+            },
+            **_OBS_CONFIG,
+        )
+        assert len(result.findings) == 1
+        assert "stage() has no repro.obs span" in result.findings[0].message
 
     def test_missing_entry_point_is_config_drift(self, tmp_path):
         result = _lint(

@@ -29,11 +29,11 @@ SPACE = ConfigSpace.physical(arm_cluster())
 
 
 def _truncate(path, keep):
-    doc = json.loads(path.read_text())
-    kept = dict(list(doc["completed"].items())[:keep])
-    assert 0 < len(kept) < len(doc["completed"]), "truncation must bite"
-    doc["completed"] = kept
-    path.write_text(json.dumps(doc))
+    """Cut the ledger to its first ``keep`` units: the header line (which
+    carries the first unit) plus the next ``keep - 1`` unit lines."""
+    lines = path.read_text().splitlines(keepends=True)
+    assert 0 < keep < len(lines), "truncation must bite"
+    path.write_text("".join(lines[:keep]))
 
 
 def _counting_compute(monkeypatch):
@@ -55,7 +55,7 @@ def test_explicit_config_list_resumes_bit_identically(
     ck = tmp_path / "space.json"
     with planner_config(max_block_bytes=BUDGET):
         full = evaluate_space_checkpointed(arm_cp_model, cfgs, checkpoint_path=ck)
-        blocks = len(json.loads(ck.read_text())["completed"])
+        blocks = len(ck.read_text().splitlines())  # one line per block
         _truncate(ck, keep=2)
         calls = _counting_compute(monkeypatch)
         resumed = evaluate_space_checkpointed(

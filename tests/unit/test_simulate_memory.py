@@ -1,13 +1,16 @@
 """Memory-controller contention resolution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import rng as rng_mod
 from repro.machines.arm import arm_cluster
 from repro.machines.xeon import xeon_cluster
+from repro.simulate import queueing
 from repro.simulate.cpu import compute_demand
-from repro.simulate.memory import resolve_memory
+from repro.simulate.memory import BATCHES, MemoryOutcome, resolve_memory
 from repro.simulate.noise import NoiseModel
 from repro.workloads.npb import sp_program
 from repro.workloads.synthetic import synthetic_program
@@ -97,3 +100,84 @@ def test_wait_attribution_proportional_to_traffic():
             assert np.allclose(
                 waits_row / total_w, bytes_row / bytes_row.sum(), atol=1e-9
             )
+
+
+def _stable_sort_resolve_memory(demand, cluster, config, rng):
+    """``resolve_memory`` as written before the FIFO kernel: a stable
+    argsort and two ``take_along_axis`` gathers (the reference)."""
+    memory, core = cluster.node.memory, cluster.node.core
+    s_iters, n, c = demand.shape
+    f = config.frequency_hz
+    arrival_fractions = rng.uniform(0.0, 1.0, size=(n, s_iters, c * BATCHES))
+    latency_per_line = memory.latency_s / core.mlp
+    fractions = np.ascontiguousarray(np.moveaxis(arrival_fractions, 0, -2))
+    batch_bytes = np.repeat(demand.dram_bytes / BATCHES, BATCHES, axis=-1)
+    spans = np.repeat(demand.compute_time_s, BATCHES, axis=-1)
+    arrivals = fractions * spans
+    bw_service = batch_bytes / memory.bandwidth_bytes_per_s
+    lat_exposure = batch_bytes * (1.0 / core.line_bytes) * latency_per_line
+    order = np.argsort(arrivals, axis=-1, kind="stable")
+    sorted_arrivals = np.take_along_axis(arrivals, order, axis=-1)
+    sorted_service = np.take_along_axis(bw_service, order, axis=-1)
+    total_wait = queueing.lindley_wait_sums(sorted_arrivals, sorted_service)
+    bytes_total = demand.dram_bytes.sum(axis=-1, keepdims=True)
+    share = np.divide(
+        demand.dram_bytes,
+        bytes_total,
+        out=np.full(demand.dram_bytes.shape, 1.0 / c),
+        where=bytes_total > 0,
+    )
+    wait = total_wait[..., None] * share
+    core_cost = np.maximum(bw_service, lat_exposure)
+    service = core_cost.reshape(s_iters, n, c, BATCHES).sum(axis=-1)
+    exposed = 1.0 - core.memory_overlap
+    stall_time = (wait + service) * exposed
+    return MemoryOutcome(
+        stall_time_s=stall_time + demand.cache_stall_cycles / f,
+        wait_time_s=wait * exposed,
+        service_time_s=service * exposed + demand.cache_stall_cycles / f,
+        stall_cycles=stall_time * f + demand.cache_stall_cycles,
+    )
+
+
+def _resolve_both(monkeypatch, zero_thread):
+    """(fifo-kernel outcome, reference outcome, stable fallbacks taken)."""
+    cluster, cfg = xeon_cluster(), config(2, 4, 1.8)
+    demand = compute_demand(
+        sp_program(), "W", cluster, cfg, NoiseModel.disabled(),
+        rng_mod.derive(1, "m"),
+    )
+    if zero_thread:
+        compute = demand.compute_time_s.copy()
+        compute[..., 1] = 0.0
+        demand = dataclasses.replace(demand, compute_time_s=compute)
+    fallbacks = []
+    stable = queueing._stable_argsort
+
+    def counted(arrivals):
+        fallbacks.append(arrivals.shape)
+        return stable(arrivals)
+
+    monkeypatch.setattr(queueing, "_stable_argsort", counted)
+    got = resolve_memory(demand, cluster, cfg, rng_mod.derive(2, "m"))
+    want = _stable_sort_resolve_memory(
+        demand, cluster, cfg, rng_mod.derive(2, "m")
+    )
+    for field in dataclasses.fields(MemoryOutcome):
+        assert (
+            getattr(got, field.name).tobytes()
+            == getattr(want, field.name).tobytes()
+        ), field.name
+    return fallbacks
+
+
+def test_zero_compute_thread_takes_the_stable_fallback(monkeypatch):
+    """A thread with no compute span puts all its batches at t=0.0: a tie,
+    so FIFO order must come from the stable sort, bit for bit."""
+    assert _resolve_both(monkeypatch, zero_thread=True), (
+        "tied arrivals must take the stable fallback"
+    )
+
+
+def test_untied_arrivals_skip_the_fallback(monkeypatch):
+    assert _resolve_both(monkeypatch, zero_thread=False) == []
