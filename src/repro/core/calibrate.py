@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro import obs
 from repro.core.energy_model import predict_energy
@@ -112,6 +111,10 @@ def fit_corrections(
     lam = regularization * column_norms
     a_aug = np.vstack([a, np.diag(lam)])
     b_aug = np.concatenate([b, lam])
+    # scipy costs ~0.5 s and ~50 MiB to import, and this is its only
+    # caller: load it here so every other entry point stays without it
+    from scipy.optimize import nnls
+
     coeffs, _ = nnls(a_aug, b_aug)
     return TermCorrections(
         cpu=float(coeffs[0]),

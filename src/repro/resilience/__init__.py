@@ -4,8 +4,9 @@ Every simulated instrument read in :mod:`repro.measure` routes its result
 through :func:`call`.  The default backend is **off**: with no context
 enabled a call costs one module-global ``None`` check plus one closure
 invocation, so the wrappers stay compiled-in everywhere (the benchmark
-gate in ``benchmarks/bench_resilience_overhead.py`` pins the disabled-path
-overhead under 2%, mirroring the ``repro.obs`` gate).
+gate in ``benchmarks/bench_resilience_overhead.py`` bounds what even an
+enabled read adds per call by 2% of a characterization campaign spread
+over its reads, mirroring the ``repro.obs`` gate).
 
 With a context enabled (:func:`enable` / :func:`enabled`), each call runs
 under the :class:`~repro.resilience.policy.RetryPolicy`: a chaos schedule

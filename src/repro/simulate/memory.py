@@ -19,8 +19,8 @@ structurally rather than with the model's closed form:
   report as stall *cycles* ``m = stall_time * f`` plus the
   frequency-invariant cache-stall cycles from :mod:`repro.simulate.cpu`.
 
-Everything is vectorized with iterations as independent rows (queues drain
-at each barrier).
+Everything is vectorized with (iteration, node) rows as independent queues
+(queues drain at each barrier), resolved in cache-sized row blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.machines.spec import ClusterSpec, Configuration
 from repro.simulate.cpu import ComputeDemand
-from repro.simulate.queueing import fifo_sort, lindley_wait_sums
+from repro.simulate.queueing import fifo_sort, lindley_wait_sums, row_blocks
 
 #: Request batches per thread per iteration.  Large enough to interleave
 #: threads realistically, small enough to keep arrays tiny.
@@ -86,30 +86,41 @@ def resolve_memory(
 
     # Controllers are independent per node, so every (iteration, node) row
     # is its own queue — the demand arrays' natural ``(S, n, c)`` layout
-    # already exposes them as rows.  Only the draws arrive node-major
-    # (generator-order constraint); transpose them once into that layout
-    # and every later op runs on C-contiguous arrays.
-    fractions = np.ascontiguousarray(
-        np.moveaxis(arrival_fractions, 0, -2)
-    )  # (S, n, c*B)
+    # already exposes them as rows.  Rows are resolved in cache-sized
+    # blocks; only the per-row wait total and per-thread service leave a
+    # block.
+    rows = s_iters * n
+    dram_rows = demand.dram_bytes.reshape(rows, c)
+    span_rows = demand.compute_time_s.reshape(rows, c)
+    total_wait = np.empty(rows)
+    service = np.empty((rows, c))
+    for block in row_blocks(rows, c * BATCHES):
+        # the draws arrive node-major (generator-order constraint):
+        # gather this block's (iteration, node) rows out of them
+        index = np.arange(block.start, block.stop)
+        fractions = arrival_fractions[index % n, index // n]  # (R, c*B)
 
-    batch_bytes = np.repeat(demand.dram_bytes / BATCHES, BATCHES, axis=-1)
-    spans = np.repeat(demand.compute_time_s, BATCHES, axis=-1)
-    arrivals = fractions * spans  # (S, n, c*B)
+        batch_bytes = np.repeat(dram_rows[block] / BATCHES, BATCHES, axis=-1)
+        arrivals = fractions * np.repeat(span_rows[block], BATCHES, axis=-1)
 
-    # bandwidth term occupies the controller; latency term is exposed
-    # at the core but pipelined through the controller.
-    bw_service = batch_bytes / bandwidth
-    lat_exposure = batch_bytes * lines_per_byte * latency_per_line
+        # bandwidth term occupies the controller; latency term is exposed
+        # at the core but pipelined through the controller.
+        bw_service = batch_bytes / bandwidth
+        lat_exposure = batch_bytes * lines_per_byte * latency_per_line
 
-    _, sorted_arrivals, sorted_service = fifo_sort(arrivals, bw_service)
+        _, sorted_arrivals, sorted_service = fifo_sort(arrivals, bw_service)
+        total_wait[block] = lindley_wait_sums(sorted_arrivals, sorted_service)
+        # per-thread core-visible service: bandwidth vs latency exposure,
+        # whichever binds, summed over the thread's batches
+        core_cost = np.maximum(bw_service, lat_exposure)  # (R, c*B)
+        service[block] = core_cost.reshape(-1, c, BATCHES).sum(axis=-1)
+    service = service.reshape(s_iters, n, c)
 
     # Real contention interleaves at cache-line granularity, so every
     # thread sees the same *average* queue — the per-iteration total
     # waiting (from the exact Lindley pass over the batch arrival
     # pattern) is attributed to threads in proportion to their traffic.
-    total_wait = lindley_wait_sums(sorted_arrivals, sorted_service)
-    total_wait = total_wait[..., None]  # (S, n, 1)
+    total_wait = total_wait.reshape(s_iters, n, 1)
     bytes_total = demand.dram_bytes.sum(axis=-1, keepdims=True)
     share = np.divide(
         demand.dram_bytes,
@@ -118,10 +129,6 @@ def resolve_memory(
         where=bytes_total > 0,
     )
     wait = total_wait * share  # (S, n, c)
-    # per-thread core-visible service: bandwidth vs latency exposure,
-    # whichever binds, summed over the thread's batches
-    core_cost = np.maximum(bw_service, lat_exposure)  # (S, n, c*B)
-    service = core_cost.reshape(s_iters, n, c, BATCHES).sum(axis=-1)
 
     exposed = 1.0 - core.memory_overlap
     stall_time = (wait + service) * exposed

@@ -25,9 +25,10 @@ sending process and returned separately so the runtime can add it to busy
 time — it is the reason measured CPU utilization ``U`` exceeds the pure-
 compute share.
 
-Everything vectorizes with iterations as independent rows; NIC queues are
-resolved as a batched Lindley over ``(S*n, M)`` and each output port over
-``(S, K_port)``.
+Everything vectorizes with iterations as independent rows, resolved in
+cache-sized blocks of iterations; within a block of ``R`` iterations the NIC
+queues are a batched Lindley over ``(R*n, M)`` and each output port over
+``(R, K_port)``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from repro.machines.spec import ClusterSpec, Configuration
 from repro.simulate.noise import NoiseModel
-from repro.simulate.queueing import fifo_sort, lindley_waits
+from repro.simulate.queueing import fifo_sort, lindley_waits, row_blocks
 from repro.workloads.base import HybridProgram
 
 #: Fraction of the compute burst during which sends are posted (the tail).
@@ -132,61 +133,71 @@ def resolve_network(
         sigma=np.sqrt(np.log1p(SIZE_CV**2)),
         size=(s_iters, n, msgs),
     )
-    offsets = np.sort(
-        rng.uniform(1.0 - POST_WINDOW, 1.0, size=(s_iters, n, msgs)),
-        axis=-1,
-    )
+    offsets = rng.uniform(1.0 - POST_WINDOW, 1.0, size=(s_iters, n, msgs))
+    offsets.sort(axis=-1)
 
-    # --- posting times: sends issued during the tail of the compute burst
-    span = compute_end_s[..., None]
-    posts = span * offsets
-
-    # --- NIC egress serialization (per-sender FIFO) ----------------------
-    nic_service = nic.per_message_overhead_s + sizes / nic.effective_bandwidth
-    posts_flat = posts.reshape(-1, msgs)
-    nic_service_flat = nic_service.reshape(-1, msgs)
-    nic_waits = lindley_waits(posts_flat, nic_service_flat)
-    egress = (posts_flat + nic_waits + nic_service_flat).reshape(posts.shape)
-    send_complete = egress.max(axis=-1)  # (S, n): last send accepted
-
-    # --- output-port queueing at the switch ------------------------------
-    dests_flat = _destinations(n, msgs).ravel()  # (n*M,)
-    port_service = switch.forwarding_latency_s + sizes / switch.port_bytes_per_s
-    egress_flat = egress.reshape(s_iters, n * msgs)
-    service_flat = port_service.reshape(egress_flat.shape)
-
-    receive_complete = np.zeros(compute_end_s.shape)
-    port_wait = np.zeros(compute_end_s.shape)
-    wire_time = np.zeros(compute_end_s.shape)
     # Ports are independent queues; round-robin traffic gives (almost)
     # every port the same message count, so ports with equal occupancy
     # stack as extra rows of one Lindley pass.  Each port's messages are
     # gathered in ascending flat (sender, message) order — exactly the
     # order a per-port boolean mask would produce — so per-row results
     # are bit-identical to resolving ports one at a time.
+    dests_flat = _destinations(n, msgs).ravel()  # (n*M,)
     port_indices = [np.nonzero(dests_flat == q)[0] for q in range(n)]
     by_count: dict[int, list[int]] = {}
     for q, idx in enumerate(port_indices):
         if idx.size:
             by_count.setdefault(idx.size, []).append(q)
-    for ports in by_count.values():
-        gather = np.stack([port_indices[q] for q in ports])  # (P, K)
-        arr_q = egress_flat[..., gather]  # (S, P, K)
-        svc_q = service_flat[..., gather]
-        _, sorted_arr, sorted_svc = fifo_sort(arr_q, svc_q)
-        waits = lindley_waits(sorted_arr, sorted_svc)
-        completions = sorted_arr + waits + sorted_svc
-        receive_complete[..., ports] = completions.max(axis=-1)
-        port_wait[..., ports] = waits.sum(axis=-1)
-        wire_time[..., ports] = sorted_svc.sum(axis=-1)
+    port_groups = [
+        (ports, np.stack([port_indices[q] for q in ports]))  # (P, K)
+        for ports in by_count.values()
+    ]
+
+    send_complete = np.empty(compute_end_s.shape)
+    receive_complete = np.zeros(compute_end_s.shape)
+    port_wait = np.zeros(compute_end_s.shape)
+    wire_time = np.zeros(compute_end_s.shape)
+    # Both queue kinds drain at the barrier, so iterations are independent
+    # rows: resolve them in cache-sized blocks of iterations.
+    for block in row_blocks(s_iters, n * msgs):
+        block_sizes = sizes[block]  # (R, n, M)
+
+        # --- posting times: sends issued during the tail of the burst
+        posts = compute_end_s[block, :, None] * offsets[block]
+
+        # --- NIC egress serialization (per-sender FIFO) ------------------
+        nic_service = (
+            nic.per_message_overhead_s + block_sizes / nic.effective_bandwidth
+        )
+        posts_flat = posts.reshape(-1, msgs)
+        nic_service_flat = nic_service.reshape(-1, msgs)
+        nic_waits = lindley_waits(posts_flat, nic_service_flat)
+        egress = (posts_flat + nic_waits + nic_service_flat).reshape(posts.shape)
+        send_complete[block] = egress.max(axis=-1)  # last send accepted
+
+        # --- output-port queueing at the switch --------------------------
+        port_service = (
+            switch.forwarding_latency_s + block_sizes / switch.port_bytes_per_s
+        )
+        egress_flat = egress.reshape(-1, n * msgs)
+        service_flat = port_service.reshape(egress_flat.shape)
+        for ports, gather in port_groups:
+            arr_q = egress_flat[:, gather]  # (R, P, K)
+            svc_q = service_flat[:, gather]
+            _, sorted_arr, sorted_svc = fifo_sort(arr_q, svc_q)
+            waits = lindley_waits(sorted_arr, sorted_svc)
+            completions = sorted_arr + waits + sorted_svc
+            receive_complete[block, ports] = completions.max(axis=-1)
+            port_wait[block, ports] = waits.sum(axis=-1)
+            wire_time[block, ports] = sorted_svc.sum(axis=-1)
 
     complete = np.maximum(
         np.maximum(send_complete, receive_complete), compute_end_s
     )
 
+    bytes_sent = sizes.sum(axis=-1)
     cpu_cost = (
-        msgs * nic.cpu_cost_per_message_s
-        + sizes.sum(axis=-1) * nic.cpu_cost_per_byte_s
+        msgs * nic.cpu_cost_per_message_s + bytes_sent * nic.cpu_cost_per_byte_s
     )
 
     net_time = complete - compute_end_s
@@ -197,5 +208,5 @@ def resolve_network(
         port_wait_s=port_wait,
         wire_time_s=wire_time,
         messages=np.full(compute_end_s.shape, float(msgs)),
-        bytes_sent=sizes.sum(axis=-1),
+        bytes_sent=bytes_sent,
     )

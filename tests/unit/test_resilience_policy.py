@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro import obs, resilience
+from repro.core.inputs import characterize
+from repro.io import model_inputs_to_dict
+from repro.machines.arm import arm_cluster
 from repro.resilience import (
     ChaosRule,
     ChaosSchedule,
@@ -12,6 +17,8 @@ from repro.resilience import (
     RetryPolicy,
     SampleLost,
 )
+from repro.simulate.cluster import SimulatedCluster
+from repro.workloads.registry import get_program
 
 
 class TestRetryPolicy:
@@ -166,3 +173,30 @@ class TestFacade:
             1.0 + 1e-12
         )
         assert resilience.value_token(2.5) == resilience.value_token(2.5)
+
+
+class TestChaosRecovery:
+    """The campaign ``bench_resilience_overhead.py`` times for
+    ``chaos_recovery_pct``: under the CI drop/delay schedule with
+    aggressive retries it must recover every read and equal the clean
+    campaign, so the reported cost is recovery cost and nothing else."""
+
+    def test_ci_schedule_campaign_equals_the_clean_one(self):
+        schedule = ChaosSchedule.load(
+            pathlib.Path(__file__).parents[1]
+            / "fixtures" / "chaos" / "schedule_ci.json"
+        )
+
+        def campaign():
+            return model_inputs_to_dict(
+                characterize(SimulatedCluster(arm_cluster()), get_program("CP"))
+            )
+
+        clean = campaign()
+        with resilience.enabled(RetryPolicy.aggressive(), schedule) as ctx:
+            recovered = campaign()
+        stats = ctx.stats.values()
+        assert sum(s.retries for s in stats) > 0, "chaos never fired"
+        assert sum(s.lost for s in stats) == 0
+        assert not ctx.lost_units
+        assert recovered == clean
