@@ -9,7 +9,7 @@ the paper highlights (3,2,0.8)), and UCR at the serial/fmin end is ~0.48.
 from repro.analysis.figures import ascii_chart
 from repro.analysis.report import ascii_table
 from repro.core.configspace import ConfigSpace, evaluate_space
-from repro.core.pareto import pareto_frontier
+from repro.core.pareto import pareto_frontier, pareto_mask
 from repro.machines.arm import arm_cluster
 from repro.machines.spec import Configuration
 from repro.units import joules_to_kj
@@ -26,10 +26,8 @@ def test_fig09_pareto_arm_cp(
     )
     frontier = pareto_frontier(evaluation)
 
-    frontier_ids = {id(p.prediction) for p in frontier}
-    marks = [
-        "*" if id(p) in frontier_ids else "." for p in evaluation.predictions
-    ]
+    on_frontier = pareto_mask(evaluation.times_s, evaluation.energies_j)
+    marks = ["*" if keep else "." for keep in on_frontier]
     rows = [
         [p.label, f"{p.time_s:.1f}", f"{joules_to_kj(p.energy_j):.2f}", f"{p.ucr:.2f}"]
         for p in frontier

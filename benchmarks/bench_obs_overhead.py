@@ -1,8 +1,8 @@
 """Instrumentation overhead gate for the ``repro.obs`` layer.
 
 The observability call sites are compiled into every pipeline stage
-(``characterize`` → ``predict`` → ``evaluate_space`` → ``search`` /
-``pareto`` / ``whatif``), so the layer's contract is that they stay
+(``characterize`` → ``predict`` → ``evaluate_space`` → ``stream_topk``
+/ ``pareto`` / ``whatif``), so the layer's contract is that they stay
 effectively free: with tracing **and** metrics fully enabled, a
 representative pipeline run must cost < 2% more wall time than the
 no-op default.  This module pins that contract and writes a
@@ -18,7 +18,7 @@ independent attempts: a genuine regression fails every attempt, while
 a noise spike fails at most one.
 
 It also exercises the acceptance path end to end: a traced
-characterize-to-search run is dumped as JSONL
+characterize-to-selection run is dumped as JSONL
 (``benchmarks/out/obs_trace.jsonl``) and must contain spans for at
 least five distinct pipeline stages plus LRU cache hit/miss counters in
 the Prometheus export (``benchmarks/out/obs_metrics.prom``).
@@ -38,10 +38,10 @@ import time
 import numpy as np
 
 from repro import obs
+from repro.core import planner
 from repro.core.configspace import ConfigSpace, evaluate_space
 from repro.core.model import HybridProgramModel
 from repro.core.pareto import pareto_frontier
-from repro.core.search import search_min_energy_within_deadline
 from repro.core.whatif import WhatIf
 from repro.workloads.registry import get_program
 
@@ -57,7 +57,7 @@ _MAX_ATTEMPTS = 4
 
 
 def _synthetic_space() -> ConfigSpace:
-    """A search space big enough that the pipeline does real work."""
+    """A configuration space big enough that the pipeline does real work."""
     max_nodes = 16 if SMOKE else 40
     return ConfigSpace(
         node_counts=tuple(range(1, max_nodes + 1)),
@@ -70,9 +70,11 @@ def _pipeline_once(model, space, configs, deadline_s):
     """One representative pass over the instrumented pipeline stages."""
     evaluation = evaluate_space(model, space)
     frontier = pareto_frontier(evaluation)
-    best, stats = search_min_energy_within_deadline(model, configs, deadline_s)
+    best = planner.stream_topk(
+        model, space, 1, objective="min_energy", deadline_s=deadline_s
+    )
     pred = model.predict(configs[len(configs) // 2])
-    return frontier, stats, pred
+    return frontier, best, pred
 
 
 def _measure_overhead_pct(run) -> float:
@@ -109,8 +111,8 @@ def test_obs_overhead(
     space = _synthetic_space()
     configs = list(space)
 
-    # warm the vectorized LRU and pick a deadline that makes the search
-    # evaluate some of the space and prune the rest
+    # warm the vectorized LRU and pick a deadline that leaves part of the
+    # space infeasible for the streamed selection
     evaluation = evaluate_space(model, space)
     deadline_s = float(np.percentile(evaluation.times_s, 60))
 
@@ -172,7 +174,9 @@ def test_obs_overhead(
     )
     # the traced run covers the pipeline: >= 5 distinct stage spans ...
     assert len(span_names) >= MIN_DISTINCT_SPANS, span_names
-    for name in ("characterize", "evaluate_space", "pareto", "search", "whatif"):
+    for name in (
+        "characterize", "evaluate_space", "pareto", "stream_topk", "whatif"
+    ):
         assert name in span_names, f"missing span {name!r} in {span_names}"
     # ... and the LRU counters observed both outcomes
     assert cache_hits >= 1.0, "repeated evaluate_space produced no LRU hit"

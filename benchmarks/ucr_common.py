@@ -31,7 +31,7 @@ def ucr_figure(sim, model_cache, time_unit: str) -> tuple[str, dict]:
         name: evaluate_space(model_cache(sim, name), space)
         for name in PAPER_ORDER
     }
-    configs = [p.config for p in evaluations[PAPER_ORDER[0]].predictions]
+    configs = evaluations[PAPER_ORDER[0]].vectorized.configs
 
     rows = []
     for i, cfg in enumerate(configs):

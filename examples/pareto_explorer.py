@@ -27,6 +27,7 @@ from repro import (
 )
 from repro.analysis.figures import ascii_chart
 from repro.analysis.report import ascii_table
+from repro.core.pareto import pareto_mask
 from repro.units import joules_to_kj
 
 
@@ -46,8 +47,8 @@ def main(program_name: str = "SP", cluster_name: str = "xeon") -> None:
     evaluation = evaluate_space(model, space)
     frontier = pareto_frontier(evaluation)
 
-    frontier_ids = {id(p.prediction) for p in frontier}
-    marks = ["*" if id(p) in frontier_ids else "." for p in evaluation.predictions]
+    on_frontier = pareto_mask(evaluation.times_s, evaluation.energies_j)
+    marks = ["*" if keep else "." for keep in on_frontier]
     print()
     print(
         ascii_chart(
@@ -76,16 +77,18 @@ def main(program_name: str = "SP", cluster_name: str = "xeon") -> None:
     energies = sorted(evaluation.energies_j)
     print("\ndeadline queries (min energy subject to T <= deadline):")
     for deadline in (times[2], times[len(times) // 2], times[-1]):
-        best = min_energy_within_deadline(evaluation, float(deadline))
-        assert best is not None
+        index = min_energy_within_deadline(evaluation, float(deadline))
+        assert index is not None
+        best = evaluation.prediction(index)
         print(
             f"  deadline {deadline:9.1f}s -> {best.config}  "
             f"T={best.time_s:8.1f}s  E={joules_to_kj(best.energy_j):7.2f}kJ"
         )
     print("budget queries (min time subject to E <= budget):")
     for budget in (energies[2], energies[len(energies) // 2], energies[-1]):
-        best = min_time_within_budget(evaluation, float(budget))
-        assert best is not None
+        index = min_time_within_budget(evaluation, float(budget))
+        assert index is not None
+        best = evaluation.prediction(index)
         print(
             f"  budget {joules_to_kj(budget):8.2f}kJ -> {best.config}  "
             f"T={best.time_s:8.1f}s  E={joules_to_kj(best.energy_j):7.2f}kJ"

@@ -45,8 +45,9 @@ def main() -> None:
     space = ConfigSpace.physical(testbed.spec)
     evaluation = evaluate_space(model, space)
     deadline = 60.0
-    best = min_energy_within_deadline(evaluation, deadline)
-    assert best is not None
+    index = min_energy_within_deadline(evaluation, deadline)
+    assert index is not None
+    best = evaluation.prediction(index)
     print(
         f"\nminimum-energy configuration meeting a {deadline:.0f}s deadline: "
         f"{best.config} -> T = {best.time_s:.1f} s, "

@@ -23,7 +23,8 @@ import numpy as np
 from repro import obs
 from repro.core.configspace import SpaceEvaluation
 from repro.core.model import Prediction
-from repro.core.pareto import pareto_mask
+from repro.core.optimizer import min_energy_within_deadline, min_time_within_budget
+from repro.core.pareto import frontier_indices
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,16 @@ class LabeledPrediction:
 
 
 @dataclass(frozen=True)
+class _Joint:
+    """Every cluster's result arrays end to end, in mapping order."""
+
+    times_s: np.ndarray
+    energies_j: np.ndarray
+    ucrs: np.ndarray
+    starts: np.ndarray  # first joint row of each cluster
+
+
+@dataclass(frozen=True)
 class ClusterComparison:
     """Joint view over per-cluster space evaluations of one program."""
 
@@ -54,40 +65,48 @@ class ClusterComparison:
         if len(self.evaluations) < 2:
             raise ValueError("comparison needs at least two clusters")
 
-    def _all_points(self) -> list[LabeledPrediction]:
-        return [
-            LabeledPrediction(cluster=name, prediction=p)
-            for name, ev in self.evaluations.items()
-            for p in ev.predictions
-        ]
+    def _joint(self) -> _Joint:
+        evs = list(self.evaluations.values())
+        return _Joint(
+            times_s=np.concatenate([ev.times_s for ev in evs]),
+            energies_j=np.concatenate([ev.energies_j for ev in evs]),
+            ucrs=np.concatenate([ev.ucrs for ev in evs]),
+            starts=np.cumsum([0] + [len(ev) for ev in evs[:-1]]),
+        )
+
+    def _labeled(self, joint: _Joint, i: int) -> LabeledPrediction:
+        """The joint row ``i`` as a prediction tagged with its cluster."""
+        k = int(np.searchsorted(joint.starts, i, side="right")) - 1
+        name = list(self.evaluations)[k]
+        return LabeledPrediction(
+            cluster=name,
+            prediction=self.evaluations[name].prediction(i - int(joint.starts[k])),
+        )
 
     def combined_frontier(self) -> list[LabeledPrediction]:
         """Pareto frontier over the union of all clusters' spaces."""
-        points = self._all_points()
+        joint = self._joint()
         with obs.span(
             "combined_frontier",
             clusters=len(self.evaluations),
-            points=len(points),
+            points=len(joint.times_s),
         ):
-            times = np.array([p.time_s for p in points])
-            energies = np.array([p.energy_j for p in points])
-            mask = pareto_mask(times, energies)
-            frontier = [p for p, keep in zip(points, mask) if keep]
-            return sorted(frontier, key=lambda p: p.time_s)
+            return [
+                self._labeled(joint, int(i))
+                for i in frontier_indices(joint.times_s, joint.energies_j)
+            ]
 
     def winner_for_deadline(self, deadline_s: float) -> LabeledPrediction | None:
         """Min-energy point across clusters meeting the deadline."""
-        feasible = [p for p in self._all_points() if p.time_s <= deadline_s]
-        if not feasible:
-            return None
-        return min(feasible, key=lambda p: p.energy_j)
+        joint = self._joint()
+        i = min_energy_within_deadline(joint, deadline_s)
+        return None if i is None else self._labeled(joint, i)
 
     def winner_for_budget(self, budget_j: float) -> LabeledPrediction | None:
         """Min-time point across clusters within the energy budget."""
-        feasible = [p for p in self._all_points() if p.energy_j <= budget_j]
-        if not feasible:
-            return None
-        return min(feasible, key=lambda p: p.time_s)
+        joint = self._joint()
+        i = min_time_within_budget(joint, budget_j)
+        return None if i is None else self._labeled(joint, i)
 
     def frontier_share(self) -> dict[str, int]:
         """How many combined-frontier points each cluster owns."""

@@ -21,9 +21,9 @@ from typing import Sequence
 from repro.analysis.report import ascii_table, format_series
 from repro.analysis.figures import ascii_chart
 from repro.analysis.validation import validate_program
-from repro.core.configspace import ConfigSpace, evaluate_space
+from repro.core.configspace import ConfigSpace, SpaceEvaluation, evaluate_space
 from repro.core.model import HybridProgramModel
-from repro.core.pareto import pareto_frontier
+from repro.core.pareto import pareto_frontier, pareto_mask
 from repro.core.whatif import WhatIf
 from repro.machines.registry import get_cluster, list_clusters
 from repro.machines.spec import Configuration
@@ -508,8 +508,8 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
             f"({len(evaluation)} configurations)",
         )
     )
-    frontier_set = {id(p.prediction) for p in frontier}
-    marks = ["*" if id(p) in frontier_set else "." for p in evaluation.predictions]
+    mask = pareto_mask(evaluation.times_s, evaluation.energies_j)
+    marks = ["*" if keep else "." for keep in mask]
     print(
         ascii_chart(
             evaluation.times_s,
@@ -522,26 +522,34 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     if args.deadline is not None:
         from repro.core.optimizer import min_energy_within_deadline
 
-        best = min_energy_within_deadline(evaluation, args.deadline)
-        if best is None:
-            print(f"deadline {args.deadline}s: infeasible")
-        else:
-            print(
-                f"deadline {args.deadline}s: {best.config} "
-                f"T={best.time_s:.1f}s E={joules_to_kj(best.energy_j):.2f}kJ"
-            )
+        _print_choice(
+            f"deadline {args.deadline}s",
+            evaluation,
+            min_energy_within_deadline(evaluation, args.deadline),
+        )
     if args.budget is not None:
         from repro.core.optimizer import min_time_within_budget
 
-        best = min_time_within_budget(evaluation, args.budget * 1e3)
-        if best is None:
-            print(f"budget {args.budget}kJ: infeasible")
-        else:
-            print(
-                f"budget {args.budget}kJ: {best.config} "
-                f"T={best.time_s:.1f}s E={joules_to_kj(best.energy_j):.2f}kJ"
-            )
+        _print_choice(
+            f"budget {args.budget}kJ",
+            evaluation,
+            min_time_within_budget(evaluation, args.budget * 1e3),
+        )
     return 0
+
+
+def _print_choice(
+    query: str, evaluation: SpaceEvaluation, index: int | None
+) -> None:
+    """One ``repro pareto`` query line: the chosen row, or infeasible."""
+    if index is None:
+        print(f"{query}: infeasible")
+        return
+    best = evaluation.prediction(index)
+    print(
+        f"{query}: {best.config} "
+        f"T={best.time_s:.1f}s E={joules_to_kj(best.energy_j):.2f}kJ"
+    )
 
 
 def _cmd_ucr(args: argparse.Namespace) -> int:
@@ -947,7 +955,7 @@ def _dispatch_planned(args: argparse.Namespace) -> int:
     ``--cache-dir`` attaches a persistent
     :class:`~repro.core.cache.ResultCache` and ``--max-block-bytes`` a
     streaming budget to every configuration-space sweep the command
-    performs (pareto, ucr, batch, search, what-if).
+    performs (pareto, ucr, batch, what-if).
 
     ``serve`` is the exception for ``--cache-dir``: the service opens
     that directory as its own warm tier, so the planner neither reads

@@ -62,11 +62,6 @@ from repro.core.scaling import (
     strong_scaling,
     weak_scaling,
 )
-from repro.core.search import (
-    SearchStats,
-    search_min_energy_within_deadline,
-    search_min_time_within_budget,
-)
 from repro.core.calibrate import CalibratedModel, TermCorrections, calibrate
 from repro.core.metrics import edp, ed2p, edp_optimal, throughput_per_watt
 from repro.core.batch import BatchPlan, Job, PlacedJob, plan_batch
@@ -116,9 +111,6 @@ __all__ = [
     "fit_amdahl",
     "karp_flatt",
     "energy_optimal_parallelism",
-    "SearchStats",
-    "search_min_energy_within_deadline",
-    "search_min_time_within_budget",
     "CalibratedModel",
     "TermCorrections",
     "calibrate",

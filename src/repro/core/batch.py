@@ -176,7 +176,7 @@ def _plan(
             evaluation = evaluate_space(job.model, space, job.class_name)
         best: PlacedJob | None = None
         for idx in np.argsort(evaluation.energies_j, kind="stable"):
-            pred = evaluation.predictions[int(idx)]
+            pred = evaluation.prediction(int(idx))
             start = _earliest_start(
                 placements, pred.config.nodes, total_nodes, pred.time_s
             )

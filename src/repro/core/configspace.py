@@ -9,9 +9,9 @@ aligned arrays for plotting/Pareto extraction.
 Evaluation routes through the vectorized engine
 (:mod:`repro.core.vectorized`): the whole space is computed as one NumPy
 broadcast over the ``(n, c, f)`` axes and cached, so repeated sweeps
-(search, Pareto, batch planning, what-if) reuse results.  The scalar
-:meth:`~repro.core.model.HybridProgramModel.predict` remains the reference
-implementation the engine is tested against.
+(deadline/budget queries, Pareto, batch planning, what-if) reuse
+results.  The scalar :meth:`~repro.core.model.HybridProgramModel.predict`
+remains the reference implementation the engine is tested against.
 """
 
 from __future__ import annotations
@@ -94,44 +94,45 @@ class ConfigSpace:
 class SpaceEvaluation:
     """Model predictions over a whole space, as aligned arrays.
 
-    When produced by :func:`evaluate_space`, ``vectorized`` carries the
-    engine's raw arrays and the metric properties return them directly
-    (read-only, shared with the cache).  Hand-assembled instances (tests,
-    ad-hoc prediction lists) fall back to deriving arrays from the
-    predictions.
+    A thin view of the engine's :class:`VectorizedEvaluation`: the metric
+    properties return its read-only arrays (shared with the cache), and a
+    :class:`Prediction` is built only for the rows someone asks for —
+    :meth:`prediction` builds one, :attr:`predictions` the whole tuple.
     """
 
-    predictions: tuple[Prediction, ...]
-    vectorized: VectorizedEvaluation | None = None
+    vectorized: VectorizedEvaluation
 
     @property
     def times_s(self) -> np.ndarray:
         """Predicted execution times."""
-        if self.vectorized is not None:
-            return self.vectorized.times_s
-        return np.array([p.time_s for p in self.predictions])
+        return self.vectorized.times_s
 
     @property
     def energies_j(self) -> np.ndarray:
         """Predicted energies."""
-        if self.vectorized is not None:
-            return self.vectorized.energies_j
-        return np.array([p.energy_j for p in self.predictions])
+        return self.vectorized.energies_j
 
     @property
     def ucrs(self) -> np.ndarray:
         """Predicted UCR values."""
-        if self.vectorized is not None:
-            return self.vectorized.ucrs
-        return np.array([p.ucr for p in self.predictions])
+        return self.vectorized.ucrs
 
     @property
     def labels(self) -> list[str]:
         """Paper-style (n,c,f) labels."""
-        return [p.config.label() for p in self.predictions]
+        return self.vectorized.labels
+
+    def prediction(self, i: int) -> Prediction:
+        """The scalar-API :class:`Prediction` for row ``i``."""
+        return self.vectorized.prediction(i)
+
+    @property
+    def predictions(self) -> tuple[Prediction, ...]:
+        """Every row as a :class:`Prediction` (built on first read)."""
+        return self.vectorized.predictions
 
     def __len__(self) -> int:
-        return len(self.predictions)
+        return len(self.vectorized)
 
 
 def evaluate_space(
@@ -141,8 +142,7 @@ def evaluate_space(
 ) -> SpaceEvaluation:
     """Predict every configuration in a space (vectorized, LRU-cached).
 
-    Repeated calls with equal model parameters and space return the same
-    underlying arrays and :class:`Prediction` objects from the cache.
+    Repeated calls with equal model parameters and space share the same
+    underlying arrays from the cache.
     """
-    vec = evaluate_configs(model, space, class_name)
-    return SpaceEvaluation(predictions=vec.predictions, vectorized=vec)
+    return SpaceEvaluation(vectorized=evaluate_configs(model, space, class_name))

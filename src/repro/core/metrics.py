@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.configspace import SpaceEvaluation
 from repro.core.model import HybridProgramModel, Prediction
+from repro.core.optimizer import ResultArrays
 
 
 def edp(prediction: Prediction) -> float:
@@ -44,8 +45,9 @@ def throughput_per_watt(
     return total_instr / prediction.time_s / mean_power
 
 
-def edp_optimal(evaluation: SpaceEvaluation, weight: int = 1) -> Prediction:
-    """The configuration minimizing ``E * T^weight`` over the space.
+def edp_optimal(evaluation: ResultArrays, weight: int = 1) -> int:
+    """Index of the configuration minimizing ``E * T^weight`` over the
+    space (first on ties).
 
     ``weight=1`` is EDP, ``weight=2`` ED²P.  EDP/ED²P optima always lie on
     the time-energy Pareto frontier (a dominated point is beaten on both
@@ -54,12 +56,12 @@ def edp_optimal(evaluation: SpaceEvaluation, weight: int = 1) -> Prediction:
     if weight < 1:
         raise ValueError("weight must be at least 1")
     scores = evaluation.energies_j * evaluation.times_s**weight
-    return evaluation.predictions[int(np.argmin(scores))]
+    return int(np.argmin(scores))
 
 
 def relative_efficiency(
     evaluation: SpaceEvaluation, prediction: Prediction
 ) -> float:
     """How close a configuration's EDP comes to the space's best (<= 1)."""
-    best = edp(edp_optimal(evaluation))
+    best = edp(evaluation.prediction(edp_optimal(evaluation)))
     return best / edp(prediction)

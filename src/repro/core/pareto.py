@@ -69,8 +69,22 @@ def pareto_mask(times: np.ndarray, energies: np.ndarray) -> np.ndarray:
     return mask
 
 
+def frontier_indices(times: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Row indices of the Pareto frontier, sorted by time.
+
+    The :func:`pareto_mask` rows in index order, stably sorted by time —
+    the order :func:`pareto_frontier` and the serve ``pareto`` endpoint
+    report.
+    """
+    rows = np.flatnonzero(pareto_mask(times, energies))
+    return rows[np.argsort(np.asarray(times)[rows], kind="stable")]
+
+
 def pareto_frontier(evaluation: SpaceEvaluation) -> list[ParetoPoint]:
-    """Extract the frontier from a space evaluation, sorted by time."""
+    """Extract the frontier from a space evaluation, sorted by time.
+
+    Only the frontier rows are built as :class:`Prediction` objects.
+    """
     if not obs.active():
         return _frontier(evaluation)
     with obs.span("pareto", points=len(evaluation.times_s)) as sp:
@@ -83,13 +97,10 @@ def pareto_frontier(evaluation: SpaceEvaluation) -> list[ParetoPoint]:
 
 
 def _frontier(evaluation: SpaceEvaluation) -> list[ParetoPoint]:
-    mask = pareto_mask(evaluation.times_s, evaluation.energies_j)
-    points = [
-        ParetoPoint(prediction=p)
-        for p, keep in zip(evaluation.predictions, mask)
-        if keep
+    return [
+        ParetoPoint(prediction=evaluation.prediction(int(i)))
+        for i in frontier_indices(evaluation.times_s, evaluation.energies_j)
     ]
-    return sorted(points, key=lambda pt: pt.time_s)
 
 
 def pareto_frontier_streamed(

@@ -629,9 +629,9 @@ def execute(
     This is the path :func:`repro.core.vectorized._evaluate` takes after
     its in-memory LRU misses.  The active :class:`PlannerConfig` (none:
     no disk cache, no budget) supplies the disk cache and the streaming
-    budget.  ``cacheable`` is false for ad-hoc candidate subsets (the
-    pruned search's chunks), which would only fill the disk cache with
-    entries nobody asks for again.
+    budget.  ``cacheable`` is false for uncached sweeps (``use_cache=False``,
+    :func:`~repro.core.vectorized.evaluate_many`'s ad-hoc batches), which
+    would only fill the disk cache with entries nobody asks for again.
     """
     cfg = active_config() or _DEFAULT_CONFIG
     cls = class_name or model.inputs.baseline_class

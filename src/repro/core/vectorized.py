@@ -146,8 +146,16 @@ class VectorizedEvaluation:
             net_j=float(self.net_j[i]),
             idle_j=float(self.idle_j[i]),
         )
+        if isinstance(self.space, tuple):
+            config = self.space[i]
+        else:  # one configuration, not the whole ``configs`` tuple
+            config = Configuration(
+                nodes=int(self.nodes[i]),
+                cores=int(self.cores[i]),
+                frequency_hz=float(self.frequencies_hz[i]),
+            )
         return Prediction(
-            config=self.configs[i],
+            config=config,
             class_name=self.class_name,
             time=time,
             energy=energy,
@@ -323,7 +331,7 @@ def model_identity(model: HybridProgramModel) -> str:
     """``repr(model_fingerprint(model))``, built once per model instance.
 
     The text names a model in every persisted identity (disk-cache
-    entries, search and sweep checkpoints) and keys the in-memory LRU;
+    entries and sweep checkpoints) and keys the in-memory LRU;
     its hash is computed once with it.  Models are frozen, and what-if
     variants are new instances, so the cached text cannot go stale.
     Threads racing on a model's first call each store the same text.
@@ -755,12 +763,11 @@ def evaluate_many(
 ) -> VectorizedEvaluation:
     """Vectorized evaluation of an explicit configuration batch (uncached).
 
-    Convenience for callers holding ad-hoc candidate lists (the pruned
-    search, planners) where caching arbitrary subsets would only churn
-    the LRU.  Deliberately *uninstrumented*: these callers invoke it from
-    inner loops inside their own span (e.g. "search") and account the
-    work through their own counters, so per-chunk spans and lane metrics
-    would dominate both the trace and the < 2% overhead budget that
+    Convenience for callers holding ad-hoc configuration lists, where
+    caching arbitrary subsets would only churn the LRU.  Deliberately
+    *uninstrumented*: such callers invoke it from inner loops inside
+    their own span, so per-call spans and lane metrics would dominate
+    both the trace and the < 2% overhead budget that
     ``benchmarks/bench_obs_overhead.py`` enforces.
     """
     return _evaluate(

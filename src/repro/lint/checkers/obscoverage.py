@@ -1,7 +1,7 @@
 """RL005 — pipeline entry points must open :mod:`repro.obs` spans.
 
 The observability facade (PR 2) is only useful if the pipeline stages a
-user actually invokes emit spans: a calibration or search run that shows
+user actually invokes emit spans: a calibration or Pareto run that shows
 up as a blank trace is a debugging dead end.  The contract is a
 configured list of entry-point qualified names
 (:data:`repro.lint.config.DEFAULT_OBS_ENTRY_POINTS`); each one must call

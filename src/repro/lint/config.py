@@ -34,8 +34,6 @@ DEFAULT_OBS_ENTRY_POINTS: tuple[str, ...] = (
     "repro.core.planner.stream_topk",
     "repro.core.scaling.strong_scaling",
     "repro.core.scaling.weak_scaling",
-    "repro.core.search.search_min_energy_within_deadline",
-    "repro.core.search.search_min_time_within_budget",
     "repro.core.whatif.WhatIf.compare",
     "repro.pipeline.runner.run_pipeline",
     "repro.resilience.pipeline.evaluate_space_checkpointed",

@@ -1,7 +1,7 @@
 """``repro.obs`` — pipeline-wide tracing and metrics (observability layer).
 
 Every stage of the pipeline (``characterize`` → ``predict`` →
-``evaluate_space`` → ``search``/``pareto``/``batch``/``whatif``) calls
+``evaluate_space`` → ``stream_topk``/``pareto``/``batch``/``whatif``) calls
 into this facade.  The default backend is a **no-op**: with nothing
 enabled, a call site costs one module-global ``None`` check, so
 instrumentation can stay compiled-in everywhere (the benchmark gate in

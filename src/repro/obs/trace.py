@@ -1,7 +1,7 @@
 """Span-based tracing with monotonic timings and JSONL export.
 
 A span is a named, timed section of the pipeline
-(``characterize`` → ``predict`` → ``evaluate_space`` → ``search`` …)
+(``characterize`` → ``predict`` → ``evaluate_space`` → ``pareto`` …)
 opened as a context manager.  Spans nest: the tracer keeps an open-span
 stack, each finished span records its parent's index, and the JSONL
 export (one JSON object per line) preserves start order so traces can

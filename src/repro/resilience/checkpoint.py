@@ -1,7 +1,7 @@
 """Checkpoint/resume for long measurement and evaluation campaigns.
 
 A checkpoint is one file recording which units of a campaign (baseline
-``(c, f)`` points, evaluation blocks, search chunks) completed and what
+``(c, f)`` points, evaluation blocks) completed and what
 they produced.  Guarantees:
 
 * **Append-only ledger** — line 1 is the JSON document (kind, format
@@ -219,52 +219,3 @@ class Checkpoint:
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line)
 
-
-# ----------------------------------------------------------------------
-# Prediction serialization (search checkpoints)
-# ----------------------------------------------------------------------
-
-
-def prediction_to_dict(pred) -> dict[str, Any]:
-    """JSON form of a :class:`~repro.core.model.Prediction`."""
-    t, e, cfg = pred.time, pred.energy, pred.config
-    return {
-        "nodes": cfg.nodes,
-        "cores": cfg.cores,
-        "frequency_hz": cfg.frequency_hz,
-        "class_name": pred.class_name,
-        "time": {
-            "t_cpu_s": t.t_cpu_s,
-            "t_mem_s": t.t_mem_s,
-            "t_net_service_s": t.t_net_service_s,
-            "t_net_wait_s": t.t_net_wait_s,
-            "utilization_baseline": t.utilization_baseline,
-            "rho_network": t.rho_network,
-            "saturated": t.saturated,
-        },
-        "energy": {
-            "cpu_j": e.cpu_j,
-            "mem_j": e.mem_j,
-            "net_j": e.net_j,
-            "idle_j": e.idle_j,
-        },
-    }
-
-
-def prediction_from_dict(data: dict[str, Any]):
-    """Rebuild a :class:`~repro.core.model.Prediction` bit-identically."""
-    from repro.core.energy_model import EnergyBreakdown
-    from repro.core.model import Prediction
-    from repro.core.time_model import TimeBreakdown
-    from repro.machines.spec import Configuration
-
-    return Prediction(
-        config=Configuration(
-            nodes=int(data["nodes"]),
-            cores=int(data["cores"]),
-            frequency_hz=float(data["frequency_hz"]),
-        ),
-        class_name=data["class_name"],
-        time=TimeBreakdown(**data["time"]),
-        energy=EnergyBreakdown(**data["energy"]),
-    )

@@ -89,7 +89,7 @@ def evaluate_space_checkpointed(
             blocks=blocks,
             resumed=checkpoint.resumed if checkpoint is not None else 0,
         )
-    return SpaceEvaluation(predictions=result.predictions, vectorized=result)
+    return SpaceEvaluation(vectorized=result)
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,12 @@ from repro import obs
 from repro.core.cache import ResultCache, entry_identity
 from repro.core.configspace import ConfigSpace
 from repro.core.model import HybridProgramModel
-from repro.core.pareto import pareto_mask
+from repro.core.optimizer import (
+    max_ucr,
+    min_energy_within_deadline,
+    min_time_within_budget,
+)
+from repro.core.pareto import frontier_indices
 from repro.core.planner import PlannerConfig, planner_config
 from repro.core.vectorized import VectorizedEvaluation, evaluate_configs
 from repro.core.whatif import WhatIf
@@ -402,9 +407,9 @@ class ServeApp:
     # -- response documents ---------------------------------------------
 
     @staticmethod
-    def _arrays(ev: VectorizedEvaluation, mask: np.ndarray | None = None) -> dict:
+    def _arrays(ev: VectorizedEvaluation, rows: np.ndarray | None = None) -> dict:
         def pick(a: np.ndarray) -> np.ndarray:
-            return a if mask is None else a[mask]
+            return a if rows is None else a[rows]
 
         return {
             "nodes": [int(n) for n in pick(ev.nodes)],
@@ -431,37 +436,31 @@ class ServeApp:
         return {"results": self._arrays(ev)}
 
     def _doc_pareto(self, query, model, space, ev) -> dict:
-        mask = pareto_mask(ev.times_s, ev.energies_j)
-        order = np.argsort(ev.times_s[mask], kind="stable")
-        indices = np.flatnonzero(mask)[order]
+        indices = frontier_indices(ev.times_s, ev.energies_j)
         return {
             "frontier": self._arrays(ev, indices),
-            "frontier_size": int(mask.sum()),
+            "frontier_size": int(indices.size),
         }
 
     def _doc_search(self, query, model, space, ev) -> dict:
-        # Mirrors repro.core.optimizer semantics on the evaluation arrays.
         if query.objective == "min_energy":
+            best = min_energy_within_deadline(ev, query.deadline_s)
             feasible = ev.times_s <= query.deadline_s
-            scores = np.where(feasible, ev.energies_j, np.inf)
         else:
+            best = min_time_within_budget(ev, query.budget_j)
             feasible = ev.energies_j <= query.budget_j
-            scores = np.where(feasible, ev.times_s, np.inf)
-        doc = {
+        return {
             "objective": query.objective,
             "deadline_s": query.deadline_s,
             "budget_j": query.budget_j,
             "feasible": int(feasible.sum()),
+            "best": None if best is None else self._point(ev, best),
         }
-        doc["best"] = (
-            self._point(ev, int(np.argmin(scores))) if feasible.any() else None
-        )
-        return doc
 
     def _doc_ucr(self, query, model, space, ev) -> dict:
         return {
             "results": self._arrays(ev),
-            "best": self._point(ev, int(np.argmax(ev.ucrs))),
+            "best": self._point(ev, max_ucr(ev)),
         }
 
     def _doc_whatif(self, query, model, space, ev) -> dict:

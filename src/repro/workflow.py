@@ -124,22 +124,24 @@ def recommend(
     frontier = tuple(pareto_frontier(evaluation))
 
     if deadline_s is not None:
-        choice = min_energy_within_deadline(evaluation, deadline_s)
+        index = min_energy_within_deadline(evaluation, deadline_s)
         objective = f"min energy within {deadline_s:g}s deadline"
-        if choice is None:
+        if index is None:
             raise ValueError(f"no configuration meets the {deadline_s}s deadline")
+        choice = evaluation.prediction(index)
         if budget_j is not None and choice.energy_j > budget_j:
             raise ValueError(
                 "deadline and budget are jointly infeasible: meeting "
                 f"{deadline_s}s needs {choice.energy_j:.0f} J > {budget_j:.0f} J"
             )
     elif budget_j is not None:
-        choice = min_time_within_budget(evaluation, budget_j)
+        index = min_time_within_budget(evaluation, budget_j)
         objective = f"min time within {budget_j / 1e3:g}kJ budget"
-        if choice is None:
+        if index is None:
             raise ValueError(f"no configuration fits the {budget_j} J budget")
+        choice = evaluation.prediction(index)
     else:
-        choice = knee_point(evaluation)
+        choice = evaluation.prediction(knee_point(evaluation))
         objective = "time-energy knee (no constraints given)"
 
     return Recommendation(

@@ -179,34 +179,6 @@ class TestInterruptResume:
             assert np.array_equal(getattr(v_full, name), getattr(v_res, name)), name
         assert np.array_equal(v_full.saturated, v_res.saturated)
 
-    def test_pruned_search_resume_returns_identical_winner(
-        self, arm_cp_model, tmp_path
-    ):
-        from repro.core.search import search_min_energy_within_deadline
-
-        space = list(ConfigSpace.physical(arm_cluster()))
-        # a deadline tight enough to force real pruning decisions
-        times = [arm_cp_model.predict(c).time_s for c in space[:: len(space) // 8]]
-        deadline = sorted(times)[len(times) // 2]
-        plain_best, plain_stats = search_min_energy_within_deadline(
-            arm_cp_model, space, deadline
-        )
-        ck = tmp_path / "search.json"
-        full_best, _ = search_min_energy_within_deadline(
-            arm_cp_model, space, deadline, checkpoint=ck
-        )
-        self._truncate(ck, keep=1)
-        resumed_best, resumed_stats = search_min_energy_within_deadline(
-            arm_cp_model, space, deadline, checkpoint=ck
-        )
-        assert plain_best is not None
-        for best in (full_best, resumed_best):
-            assert best is not None
-            assert best.config == plain_best.config
-            assert best.energy_j == plain_best.energy_j
-            assert best.time_s == plain_best.time_s
-        assert resumed_stats.total == plain_stats.total
-
     def test_uncheckpointed_and_checkpointed_sweeps_agree(
         self, arm_cp_model, tmp_path
     ):

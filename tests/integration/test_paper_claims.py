@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.configspace import ConfigSpace, evaluate_space
 from repro.core.optimizer import min_energy_within_deadline, min_time_within_budget
-from repro.core.pareto import pareto_frontier
+from repro.core.pareto import pareto_frontier, pareto_mask
 from repro.core.ucr import ucr_upper_bound
 from repro.machines.arm import arm_cluster
 from repro.machines.xeon import xeon_cluster
@@ -55,6 +55,8 @@ class TestClaim2TightBudgetMoreCoresFrequency:
         loose = min_time_within_budget(xeon_sp_space, float(energies[-1]))
         tight = min_time_within_budget(xeon_sp_space, float(energies[3]))
         assert loose is not None and tight is not None
+        loose = xeon_sp_space.prediction(loose)
+        tight = xeon_sp_space.prediction(tight)
         # squeezing the budget sheds nodes...
         assert tight.config.nodes < loose.config.nodes
         # ...but the surviving nodes keep working hard: the tight-budget
@@ -112,8 +114,8 @@ class TestClaim4UCRProperties:
 
 class TestClaim5DeadlineBudgetQueries:
     def test_deadline_query_returns_pareto_member(self, xeon_sp_space):
-        frontier_ids = {id(p.prediction) for p in pareto_frontier(xeon_sp_space)}
+        frontier = pareto_mask(xeon_sp_space.times_s, xeon_sp_space.energies_j)
         deadline = float(np.median(xeon_sp_space.times_s))
         best = min_energy_within_deadline(xeon_sp_space, deadline)
         assert best is not None
-        assert id(best) in frontier_ids
+        assert frontier[best]

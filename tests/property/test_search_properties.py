@@ -1,16 +1,13 @@
-"""Property tests: pruned search == exhaustive search, always."""
+"""Property tests: streamed top-1 selection == the index selectors, always."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import planner
 from repro.core.configspace import ConfigSpace, evaluate_space
 from repro.core.optimizer import min_energy_within_deadline, min_time_within_budget
-from repro.core.search import (
-    search_min_energy_within_deadline,
-    search_min_time_within_budget,
-)
 
 _SPACE = ConfigSpace(
     node_counts=(1, 2, 4, 8, 16, 32, 64),
@@ -18,12 +15,33 @@ _SPACE = ConfigSpace(
     frequencies_hz=(1.2e9, 1.5e9, 1.8e9),
 )
 
+#: Small enough that every query folds several blocks.
+_BLOCK_BYTES = 16 * planner.WORKING_BYTES_PER_CONFIG
+
 _suppress = [HealthCheck.function_scoped_fixture]
 
 
 @pytest.fixture(scope="module")
 def evaluation(xeon_sp_model):
     return evaluate_space(xeon_sp_model, _SPACE)
+
+
+def _streamed(model, **query):
+    return planner.stream_topk(
+        model, _SPACE, 1, max_block_bytes=_BLOCK_BYTES, **query
+    )
+
+
+def _assert_same_winner(selection, expected, evaluation):
+    if expected is None:
+        assert len(selection) == 0
+        assert selection.best is None
+    else:
+        assert selection.indices.tolist() == [expected]
+        want = evaluation.prediction(expected)
+        assert selection.best.config == want.config
+        assert selection.best.time_s == want.time_s
+        assert selection.best.energy_j == want.energy_j
 
 
 @given(fraction=st.floats(0.0, 1.0))
@@ -34,15 +52,9 @@ def test_deadline_search_equivalence(fraction, xeon_sp_model, evaluation):
         times.min() * 0.5 + fraction * (times.max() * 1.2 - times.min() * 0.5)
     )
     expected = min_energy_within_deadline(evaluation, deadline)
-    found, stats = search_min_energy_within_deadline(
-        xeon_sp_model, _SPACE, deadline
-    )
-    if expected is None:
-        assert found is None
-    else:
-        assert found is not None
-        assert found.config == expected.config
-    assert stats.evaluated <= stats.total
+    found = _streamed(xeon_sp_model, objective="min_energy", deadline_s=deadline)
+    _assert_same_winner(found, expected, evaluation)
+    assert found.configs == len(_SPACE)
 
 
 @given(fraction=st.floats(0.0, 1.0))
@@ -54,19 +66,15 @@ def test_budget_search_equivalence(fraction, xeon_sp_model, evaluation):
         + fraction * (energies.max() * 1.2 - energies.min() * 0.5)
     )
     expected = min_time_within_budget(evaluation, budget)
-    found, stats = search_min_time_within_budget(xeon_sp_model, _SPACE, budget)
-    if expected is None:
-        assert found is None
-    else:
-        assert found is not None
-        assert found.config == expected.config
-    assert stats.evaluated <= stats.total
+    found = _streamed(xeon_sp_model, objective="min_time", budget_j=budget)
+    _assert_same_winner(found, expected, evaluation)
+    assert found.configs == len(_SPACE)
 
 
 @given(fraction=st.floats(0.05, 1.0))
 @settings(max_examples=20, deadline=None, suppress_health_check=_suppress)
 def test_search_winner_is_feasible(fraction, xeon_sp_model, evaluation):
     deadline = float(np.quantile(evaluation.times_s, fraction))
-    found, _ = search_min_energy_within_deadline(xeon_sp_model, _SPACE, deadline)
-    if found is not None:
-        assert found.time_s <= deadline
+    found = _streamed(xeon_sp_model, objective="min_energy", deadline_s=deadline)
+    if found.best is not None:
+        assert found.best.time_s <= deadline

@@ -1,5 +1,7 @@
 """CLI subcommands (smoke-level: each command runs and prints sane text)."""
 
+import importlib
+
 import pytest
 
 from repro.cli.main import _parse_config, main
@@ -78,6 +80,42 @@ def test_pareto_command_with_queries(capsys):
     assert "deadline 100" in out
     assert "budget 50" in out
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--cluster", "xeon", "--program", "SP", "--extrapolate"],
+        ["--cluster", "arm", "--program", "CP"],
+    ],
+)
+def test_pareto_chart_stars_exactly_the_frontier(monkeypatch, capsys, argv):
+    """The chart marks one ``*`` per frontier point, on the frontier's
+    own (time, energy) coordinates."""
+    cli = importlib.import_module("repro.cli.main")
+    seen = {}
+    real_chart, real_frontier = cli.ascii_chart, cli.pareto_frontier
+
+    def chart(xs, ys, **kwargs):
+        seen.update(xs=list(xs), ys=list(ys), marks=list(kwargs["marks"]))
+        return real_chart(xs, ys, **kwargs)
+
+    def frontier(evaluation):
+        seen["frontier"] = real_frontier(evaluation)
+        return seen["frontier"]
+
+    monkeypatch.setattr(cli, "ascii_chart", chart)
+    monkeypatch.setattr(cli, "pareto_frontier", frontier)
+    assert main(["pareto", *argv]) == 0
+    capsys.readouterr()
+    marks, points = seen["marks"], seen["frontier"]
+    assert len(marks) == len(seen["xs"])
+    assert set(marks) == {"*", "."}
+    assert marks.count("*") == len(points)
+    starred = {
+        (x, y) for x, y, m in zip(seen["xs"], seen["ys"], marks) if m == "*"
+    }
+    assert starred == {(p.time_s, p.energy_j / 1e3) for p in points}
 
 def test_requires_subcommand():
     with pytest.raises(SystemExit):

@@ -81,15 +81,20 @@ class TestEvaluateSpace:
         assert ev.vectorized is not None
         assert len(ev.vectorized) == len(ev)
 
-    def test_hand_assembled_evaluation_still_works(self, xeon_sp_model):
-        """SpaceEvaluation without a vectorized backing derives its arrays."""
-        from repro.core.configspace import SpaceEvaluation
+    def test_predictions_are_built_on_demand(self, xeon_sp_model):
+        """Selecting over the arrays builds no Prediction tuple; one row
+        is built on request and equals the tuple's row."""
+        from repro.core.optimizer import min_energy_within_deadline
+        from repro.core.vectorized import clear_evaluation_cache
 
-        preds = [
-            xeon_sp_model.predict(config(1, 8, 1.8)),
-            xeon_sp_model.predict(config(2, 8, 1.8)),
-        ]
-        ev = SpaceEvaluation(predictions=tuple(preds))
-        assert ev.times_s.shape == (2,)
-        assert float(ev.times_s[0]) == preds[0].time_s
-        assert float(ev.ucrs[1]) == preds[1].ucr
+        clear_evaluation_cache()
+        ev = evaluate_space(xeon_sp_model, ConfigSpace((1, 2, 4), (4, 8), (1.8e9,)))
+        best = min_energy_within_deadline(ev, float(ev.times_s.max()))
+        assert best is not None
+        assert "predictions" not in vars(ev.vectorized)
+        one = ev.prediction(best)
+        assert "predictions" not in vars(ev.vectorized)
+        assert one == ev.predictions[best]
+        assert one.time_s == float(ev.times_s[best])
+        assert one.energy_j == float(ev.energies_j[best])
+        assert one.config.label() == ev.labels[best]

@@ -11,7 +11,7 @@ from repro.core.metrics import (
     relative_efficiency,
     throughput_per_watt,
 )
-from repro.core.pareto import pareto_frontier
+from repro.core.pareto import pareto_mask
 from repro.machines.xeon import xeon_cluster
 from tests.conftest import config
 
@@ -28,19 +28,18 @@ class TestMetrics:
         assert ed2p(pred) == pytest.approx(pred.energy_j * pred.time_s**2)
 
     def test_edp_optimum_on_frontier(self, evaluation):
-        frontier_ids = {
-            id(p.prediction) for p in pareto_frontier(evaluation)
-        }
+        on_frontier = pareto_mask(evaluation.times_s, evaluation.energies_j)
         for weight in (1, 2):
             best = edp_optimal(evaluation, weight=weight)
-            assert id(best) in frontier_ids
+            assert on_frontier[best]
 
     def test_ed2p_prefers_speed(self, evaluation):
         """Weighting delay harder never picks a slower configuration."""
-        assert edp_optimal(evaluation, 2).time_s <= edp_optimal(evaluation, 1).time_s
+        times = evaluation.times_s
+        assert times[edp_optimal(evaluation, 2)] <= times[edp_optimal(evaluation, 1)]
 
     def test_relative_efficiency_bounded(self, evaluation):
-        best = edp_optimal(evaluation)
+        best = evaluation.prediction(edp_optimal(evaluation))
         assert relative_efficiency(evaluation, best) == pytest.approx(1.0)
         for pred in evaluation.predictions[::20]:
             assert 0 < relative_efficiency(evaluation, pred) <= 1.0 + 1e-9
@@ -70,7 +69,9 @@ class TestBatchPlanning:
 
         expected = min_energy_within_deadline(evaluation, 60.0)
         assert expected is not None
-        assert placed.prediction.energy_j == pytest.approx(expected.energy_j)
+        assert placed.prediction.energy_j == pytest.approx(
+            evaluation.energies_j[expected]
+        )
 
     def test_capacity_never_exceeded(self, xeon_sp_model):
         plan = plan_batch(

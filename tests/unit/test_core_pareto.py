@@ -85,3 +85,23 @@ def xeon_sp_model_spec(model):
     from repro.machines.xeon import xeon_cluster
 
     return xeon_cluster()
+
+
+@pytest.mark.parametrize("block_configs", [1, 7, 64, 10_000])
+def test_streamed_frontier_equals_materialized(xeon_sp_model, block_configs):
+    """``pareto_frontier_streamed`` returns the materialized frontier:
+    same labels in the same order, bit-identical time and energy."""
+    from repro.core.pareto import pareto_frontier_streamed
+    from repro.core.planner import WORKING_BYTES_PER_CONFIG
+    from repro.machines.xeon import xeon_cluster
+
+    space = ConfigSpace.xeon_pareto(xeon_cluster())
+    want = pareto_frontier(evaluate_space(xeon_sp_model, space))
+    got = pareto_frontier_streamed(
+        xeon_sp_model,
+        space,
+        max_block_bytes=block_configs * WORKING_BYTES_PER_CONFIG,
+    )
+    assert [p.label for p in got] == [p.label for p in want]
+    assert [p.time_s for p in got] == [p.time_s for p in want]
+    assert [p.energy_j for p in got] == [p.energy_j for p in want]

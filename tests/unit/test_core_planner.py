@@ -9,6 +9,7 @@ import pytest
 from repro import obs
 from repro.core.cache import ARRAY_FIELDS, ResultCache, entry_identity
 from repro.core.configspace import ConfigSpace, evaluate_space
+from repro.core.optimizer import min_energy_within_deadline
 from repro.core.planner import (
     DEFAULT_MAX_BLOCK_BYTES,
     WORKING_BYTES_PER_CONFIG,
@@ -18,7 +19,6 @@ from repro.core.planner import (
     iter_block_spaces,
     planner_config,
 )
-from repro.core.search import search_min_energy_within_deadline
 from repro.core.vectorized import clear_evaluation_cache, evaluate_configs
 from tests.conftest import config
 
@@ -286,21 +286,20 @@ class TestExecuteDispatch:
         _assert_bit_identical(planned.vectorized, baseline.vectorized)
 
     def test_search_identical_under_config(self, xeon_sp_model, tmp_path):
-        space = list(SPACE)
-        best_plain, stats_plain = search_min_energy_within_deadline(
-            xeon_sp_model, space, deadline_s=1e6
-        )
+        plain = evaluate_space(xeon_sp_model, SPACE)
+        best_plain = min_energy_within_deadline(plain, deadline_s=1e6)
+        clear_evaluation_cache()
         cache = ResultCache(tmp_path)
         with planner_config(max_block_bytes=1, cache=cache):
-            best_cfg, stats_cfg = search_min_energy_within_deadline(
-                xeon_sp_model, space, deadline_s=1e6
-            )
+            planned = evaluate_space(xeon_sp_model, SPACE)
+            best_cfg = min_energy_within_deadline(planned, deadline_s=1e6)
         assert best_plain is not None and best_cfg is not None
-        assert best_cfg.config == best_plain.config
-        assert best_cfg.energy_j == best_plain.energy_j
-        assert stats_cfg == stats_plain
-        # the search's candidate chunks are not cacheable
-        assert cache.entries() == []
+        assert best_cfg == best_plain
+        won_cfg, won_plain = planned.prediction(best_cfg), plain.prediction(best_plain)
+        assert won_cfg.config == won_plain.config
+        assert won_cfg.energy_j == won_plain.energy_j
+        # the planned sweep is one cacheable entry, written once
+        assert len(cache.entries()) == 1
 
     def test_selection_counter_is_labeled_in_prometheus_text(
         self, xeon_sp_model

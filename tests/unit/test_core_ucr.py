@@ -72,3 +72,29 @@ class TestDecomposition:
         share1 = d1.t_mem_contention_s / (d1.t_data_dep_s + d1.t_mem_contention_s)
         share8 = d8.t_mem_contention_s / (d8.t_data_dep_s + d8.t_mem_contention_s)
         assert share8 > share1
+
+
+@pytest.mark.parametrize("block_configs", [5, 10_000])
+def test_stream_ucr_best_ranks_like_stable_argsort(xeon_sp_model, block_configs):
+    """The top-3 streamed UCR picks are ``argsort(-ucrs, stable)[:3]``,
+    each decomposed exactly like the scalar decomposition."""
+    import numpy as np
+
+    from repro.core.planner import WORKING_BYTES_PER_CONFIG
+    from repro.core.ucr import stream_ucr_best
+
+    space = ConfigSpace.physical(xeon_cluster())
+    ev = evaluate_space(xeon_sp_model, space)
+    ranked = stream_ucr_best(
+        xeon_sp_model,
+        space,
+        k=3,
+        max_block_bytes=block_configs * WORKING_BYTES_PER_CONFIG,
+    )
+    want = np.argsort(-ev.ucrs, kind="stable")[:3]
+    assert [pred.config for pred, _ in ranked] == [
+        ev.prediction(int(i)).config for i in want
+    ]
+    assert [pred.ucr for pred, _ in ranked] == [float(ev.ucrs[i]) for i in want]
+    for pred, decomposition in ranked:
+        assert decomposition == ucr_decomposition(xeon_sp_model, pred)

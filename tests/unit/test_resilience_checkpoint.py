@@ -1,4 +1,4 @@
-"""Unit tests for the checkpoint ledger and prediction serialization."""
+"""Unit tests for the checkpoint ledger."""
 
 from __future__ import annotations
 
@@ -6,10 +6,6 @@ import json
 
 import pytest
 
-from repro.core.energy_model import EnergyBreakdown
-from repro.core.model import Prediction
-from repro.core.time_model import TimeBreakdown
-from repro.machines.spec import Configuration
 from repro.resilience import checkpoint as checkpoint_mod
 from repro.resilience.checkpoint import (
     FORMAT_VERSION,
@@ -18,8 +14,6 @@ from repro.resilience.checkpoint import (
     CheckpointError,
     atomic_write_json,
     fingerprint,
-    prediction_from_dict,
-    prediction_to_dict,
 )
 
 
@@ -233,47 +227,3 @@ class TestLedger:
         assert len(written) == 40
         assert sum(written) == path.stat().st_size
 
-
-class TestPredictionSerde:
-    def test_round_trip_is_exact(self):
-        pred = Prediction(
-            config=Configuration(nodes=4, cores=8, frequency_hz=2.3e9),
-            class_name="C",
-            time=TimeBreakdown(
-                t_cpu_s=10.123456789012345,
-                t_mem_s=3.987654321098765,
-                t_net_service_s=1.1111111111111112,
-                t_net_wait_s=0.3333333333333333,
-                utilization_baseline=0.8765432109876543,
-                rho_network=0.9999999999999,
-                saturated=True,
-            ),
-            energy=EnergyBreakdown(
-                cpu_j=1234.5678901234567,
-                mem_j=345.6789012345678,
-                net_j=56.78901234567890,
-                idle_j=789.0123456789012,
-            ),
-        )
-        restored = prediction_from_dict(prediction_to_dict(pred))
-        assert restored == pred
-        assert restored.time_s == pred.time_s
-        assert restored.energy_j == pred.energy_j
-
-    def test_survives_json_round_trip(self):
-        pred = Prediction(
-            config=Configuration(nodes=1, cores=1, frequency_hz=2.0e9),
-            class_name=None,
-            time=TimeBreakdown(
-                t_cpu_s=0.1,
-                t_mem_s=0.2,
-                t_net_service_s=0.0,
-                t_net_wait_s=0.0,
-                utilization_baseline=1.0,
-                rho_network=0.0,
-                saturated=False,
-            ),
-            energy=EnergyBreakdown(cpu_j=1.0, mem_j=2.0, net_j=0.0, idle_j=3.0),
-        )
-        wire = json.loads(json.dumps(prediction_to_dict(pred)))
-        assert prediction_from_dict(wire) == pred
