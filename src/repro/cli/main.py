@@ -169,9 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--checkpoint",
         default=None,
-        metavar="CHECKPOINT.json",
-        help="persist the space evaluation's progress here and resume an "
-        "interrupted sweep from it",
+        metavar="DIR",
+        help="persist the space evaluation block by block into this "
+        "disk-cache directory and resume an interrupted sweep from it",
     )
 
     p = sub.add_parser("ucr", help="UCR across configurations (Figs. 10-11)")

@@ -22,7 +22,6 @@ optimality.
 from __future__ import annotations
 
 import pathlib
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,9 +121,11 @@ def plan_batch(
 ) -> BatchPlan:
     """Plan a queue of jobs (EDF + min-energy configuration per job).
 
-    With ``checkpoint_dir``, each job's configuration-space evaluation is
-    checkpointed into ``<dir>/job-<name>.json`` so an interrupted planning
-    run resumes without re-evaluating completed jobs' spaces.
+    With ``checkpoint_dir``, every job's configuration-space evaluation is
+    checkpointed into that one disk-cache directory, block by block.
+    Entries are keyed on their content (model, sub-space, class), so jobs
+    share the directory, and an interrupted planning run resumes without
+    re-evaluating the blocks already stored.
 
     Raises :class:`ValueError` when some job cannot meet its deadline even
     with the whole machine to itself.
@@ -148,9 +149,6 @@ def _plan(
     total_nodes: int,
     checkpoint_dir: str | pathlib.Path | None = None,
 ) -> BatchPlan:
-    if checkpoint_dir is not None:
-        checkpoint_dir = pathlib.Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(jobs, key=lambda j: j.deadline_s)
     placements: list[PlacedJob] = []
     for job in ordered:
@@ -163,12 +161,8 @@ def _plan(
         if checkpoint_dir is not None:
             from repro.resilience.pipeline import evaluate_space_checkpointed
 
-            slug = re.sub(r"[^A-Za-z0-9_.-]+", "_", job.name)
             evaluation = evaluate_space_checkpointed(
-                job.model,
-                space,
-                job.class_name,
-                checkpoint_path=checkpoint_dir / f"job-{slug}.json",
+                job.model, space, job.class_name, checkpoint_path=checkpoint_dir
             )
         else:
             # vectorized + LRU-cached: a queue of same-model jobs evaluates

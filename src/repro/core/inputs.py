@@ -14,6 +14,8 @@ profiling runs to the whole configuration space.
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 
 from repro import obs
@@ -67,7 +69,7 @@ def characterize(
     class_name: str | None = None,
     repetitions: int = 3,
     comm_node_counts: tuple[int, ...] = (2, 4),
-    baseline_checkpoint: object | None = None,
+    baseline_checkpoint: str | pathlib.Path | None = None,
 ) -> ModelInputs:
     """Run the full characterization campaign for one program on one cluster.
 
@@ -75,8 +77,7 @@ def characterize(
     every value passes through a measurement interface (counters, mpiP,
     NetPIPE, wall meter), never through simulator internals.
 
-    ``baseline_checkpoint`` (a path or an open
-    :class:`~repro.resilience.checkpoint.Checkpoint`) makes the baseline
+    ``baseline_checkpoint`` (a ledger file path) makes the baseline
     (c, f) sweep resumable; under an enabled resilience context the whole
     campaign degrades gracefully on lost samples (see
     :func:`repro.resilience.pipeline.characterize_resilient` for the

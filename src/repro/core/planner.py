@@ -20,8 +20,8 @@ exported as ``repro_plan_selected_total{strategy="…"}``.
 
 **The block pipeline** (:func:`_blocks` over :func:`iter_block_spaces`)
 evaluates a space in contiguous flat-order blocks sized by a byte
-budget, reading or recording each block in a checkpoint when one is
-given.  Every piecewise evaluation is a fold over it: assembly
+budget, reading or writing each block as its own disk-cache entry when
+a cache is given.  Every piecewise evaluation is a fold over it: assembly
 (:func:`evaluate_space_streamed`, and the checkpointed sweep of
 :mod:`repro.resilience.pipeline`), the running top-k / Pareto
 selections (:func:`stream_topk`, :func:`stream_pareto`) and the what-if
@@ -50,7 +50,6 @@ from repro.core.configspace import ConfigSpace
 from repro.core.model import HybridProgramModel, Prediction
 from repro.core.pareto import pareto_mask
 from repro.core.vectorized import VectorizedEvaluation
-from repro.resilience.checkpoint import Checkpoint
 from repro.units import MIB
 
 #: Default streaming budget: bounds the *working set* of one evaluation
@@ -279,44 +278,32 @@ def _blocks(
     queueing: str,
     service_overlap: bool,
     max_block_bytes: int,
-    checkpoint: Checkpoint | None = None,
+    cache: ResultCache | None = None,
 ) -> Iterator[tuple[int, object, VectorizedEvaluation]]:
     """The one block pipeline: ``(offset, block space, block evaluation)``.
 
-    Cuts ``space`` with :func:`iter_block_spaces`.  A block recorded in
-    ``checkpoint`` is read back from it; any other block runs the
-    broadcast engine and, when a checkpoint is given, is recorded into
-    it.  Block lanes are bit-identical to materialized lanes, so every
-    fold over these blocks (assembly, top-k, Pareto, what-if deltas)
-    equals the same fold over the materialized arrays.
+    Cuts ``space`` with :func:`iter_block_spaces`.  With a ``cache``,
+    each block is its own entry keyed on the block's sub-space: a
+    verified entry is read back, and any other block runs the broadcast
+    engine and is stored.  Block lanes are bit-identical to materialized
+    lanes, so every fold over these blocks (assembly, top-k, Pareto,
+    what-if deltas) equals the same fold over the materialized arrays.
     """
     cls = class_name or model.inputs.baseline_class
     blocks = configs = 0
     for offset, length, sub in iter_block_spaces(
         _materialize(space), max_block_bytes
     ):
-        key = f"block{blocks}"
-        payload = checkpoint.get(key) if checkpoint is not None else None
-        if payload is not None:
-            vec = VectorizedEvaluation(
-                class_name=cls,
-                space=sub,
-                **{
-                    name: np.asarray(payload[name], dtype=field_dtype(name))
-                    for name in ARRAY_FIELDS
-                },
-            )
-        else:
+        identity = vec = None
+        if cache is not None:
+            identity = entry_identity(model, sub, cls, queueing, service_overlap)
+            vec = cache.get(identity)
+        if vec is None:
             vec = vectorized._compute(
                 model, sub, cls, queueing, service_overlap, instrument=False
             )
-            if checkpoint is not None:
-                # every field, derived ones too: a resumed sweep
-                # reproduces an uninterrupted one without re-deriving
-                checkpoint.record(
-                    key,
-                    {name: getattr(vec, name).tolist() for name in ARRAY_FIELDS},
-                )
+            if cache is not None:
+                cache.put(identity, vec)
         blocks += 1
         configs += length
         yield offset, sub, vec

@@ -105,16 +105,16 @@ class CommProfile:
 
 
 def _sweep_checkpoint(
-    checkpoint: str | pathlib.Path | Checkpoint | None,
+    checkpoint: str | pathlib.Path | None,
     cluster: SimulatedCluster,
     program: HybridProgram,
     cls: str,
     repetitions: int,
 ) -> Checkpoint | None:
-    """Open (or pass through) the sweep's checkpoint, fingerprinted over
-    everything that determines the sweep's outputs."""
-    if checkpoint is None or isinstance(checkpoint, Checkpoint):
-        return checkpoint
+    """Open the sweep's checkpoint, fingerprinted over everything that
+    determines the sweep's outputs."""
+    if checkpoint is None:
+        return None
     spec = cluster.spec
     return Checkpoint.open(
         checkpoint,
@@ -137,7 +137,7 @@ def run_baseline_sweep(
     program: HybridProgram,
     class_name: str | None = None,
     repetitions: int = 3,
-    checkpoint: str | pathlib.Path | Checkpoint | None = None,
+    checkpoint: str | pathlib.Path | None = None,
 ) -> BaselineSweep:
     """Single-node sweep over all (c, f): the paper's baseline executions.
 

@@ -19,7 +19,7 @@ recorded execution.
 Stage checkpoints: each execution gets a private directory keyed by the
 stage's fingerprint; resumable campaigns (:func:`repro.core.inputs.
 characterize` with ``baseline_checkpoint``, :func:`repro.resilience.
-pipeline.evaluate_space_checkpointed`) park their ledgers there, so a
+pipeline.evaluate_space_checkpointed`) park their checkpoints there, so a
 crashed run resumes mid-stage.  The directory is wiped whenever the
 stage's identity changes — a stale campaign must never resume into a new
 one (:class:`repro.resilience.checkpoint.Checkpoint` would refuse with a

@@ -1,8 +1,12 @@
-"""Checkpoint/resume for long measurement and evaluation campaigns.
+"""Checkpoint/resume for the baseline measurement campaign.
 
-A checkpoint is one file recording which units of a campaign (baseline
-``(c, f)`` points, evaluation blocks) completed and what
-they produced.  Guarantees:
+A checkpoint is one file recording which units of a campaign completed
+and what they produced.  Its units are the small scalar baseline
+``(c, f)`` points; configuration-space sweeps checkpoint their result
+arrays as disk-cache entries instead (see
+:func:`repro.resilience.pipeline.evaluate_space_checkpointed`).  The
+atomic-write helpers here are shared with :mod:`repro.core.cache`.
+Guarantees:
 
 * **Append-only ledger** — line 1 is the JSON document (kind, format
   version, task, fingerprint, ``completed`` map), written atomically

@@ -3,12 +3,12 @@
 Two pieces live here, both sitting *above* the measurement / model layers:
 
 * :func:`evaluate_space_checkpointed` — the configuration-space sweep
-  run through the planner's block pipeline, each block persisted to a
-  :class:`~repro.resilience.checkpoint.Checkpoint` as it completes.  An
-  interrupted sweep resumed from its checkpoint is bit-identical to an
-  uninterrupted one: the blocks are fixed by the space and the budget,
-  each is computed by the same broadcast engine, and Python floats
-  round-trip JSON exactly.
+  run through the planner's block pipeline, each block persisted as an
+  entry of a :class:`~repro.core.cache.ResultCache` directory as it
+  completes.  An interrupted sweep resumed from that directory is
+  bit-identical to an uninterrupted one: every block is keyed on its own
+  sub-space, each is computed by the same broadcast engine, and entries
+  store the raw array bytes.
 
 * the **coverage record** — when a chaos-afflicted campaign loses samples
   permanently, calibration proceeds on the surviving points (graceful
@@ -31,16 +31,11 @@ from typing import Mapping
 from repro import obs
 from repro import resilience
 from repro.core import planner
-from repro.core.cache import entry_identity
+from repro.core.cache import ResultCache
 from repro.core.configspace import SpaceEvaluation
 from repro.core.model import HybridProgramModel
 from repro.resilience import InstrumentStats, ResilienceContext
-from repro.resilience.checkpoint import Checkpoint, fingerprint
-
-#: Checkpoint task of a block-pipeline sweep.  It differs from the task
-#: ``evaluate_space`` of the earlier 64-config chunk files so that
-#: :meth:`Checkpoint.open` refuses such a file instead of misreading it.
-TASK = "evaluate_space_blocks"
+from repro.resilience.checkpoint import CheckpointError
 
 
 def evaluate_space_checkpointed(
@@ -55,9 +50,12 @@ def evaluate_space_checkpointed(
     ``max_block_bytes`` budget (else the default) and assembles the
     blocks like :func:`~repro.core.planner.evaluate_space_streamed`, so
     the arrays equal :func:`repro.core.configspace.evaluate_space` bit
-    for bit.  With ``checkpoint_path`` every computed block is recorded;
-    re-invoking with the same model, space, class and budget skips the
-    recorded blocks and computes only the rest.
+    for bit.  ``checkpoint_path`` names a disk-cache directory: every
+    computed block is stored there as one entry, and a re-invocation
+    reads the verified entries back and computes only the rest.  A torn
+    or foreign entry is a miss and is recomputed.  Raises
+    :class:`~repro.resilience.checkpoint.CheckpointError` when a file
+    (such as an old JSON ledger) sits at ``checkpoint_path``.
     """
     space = planner._materialize(space)
     if not len(space):
@@ -65,30 +63,23 @@ def evaluate_space_checkpointed(
     cls = class_name or model.inputs.baseline_class
     config = planner.active_config()
     budget = (config and config.max_block_bytes) or planner.DEFAULT_MAX_BLOCK_BYTES
-    checkpoint: Checkpoint | None = None
+    cache: ResultCache | None = None
     if checkpoint_path is not None:
-        checkpoint = Checkpoint.open(
-            checkpoint_path,
-            TASK,
-            fingerprint(
-                {
-                    "entry": entry_identity(model, space, cls, "bracketed", True),
-                    "max_block_bytes": budget,
-                }
-            ),
-        )
+        path = pathlib.Path(checkpoint_path)
+        if path.exists() and not path.is_dir():
+            raise CheckpointError(
+                f"sweep checkpoint {path} is a file; a sweep checkpoint is a "
+                "directory of disk-cache entries (one .eval file per block) — "
+                "point --checkpoint at a directory"
+            )
+        cache = ResultCache(path)
     with obs.span("evaluate_space_checkpointed", configs=len(space)) as sp:
         result, blocks = planner._assemble(
-            planner._blocks(
-                model, space, cls, "bracketed", True, budget, checkpoint
-            ),
+            planner._blocks(model, space, cls, "bracketed", True, budget, cache),
             space,
             cls,
         )
-        sp.set(
-            blocks=blocks,
-            resumed=checkpoint.resumed if checkpoint is not None else 0,
-        )
+        sp.set(blocks=blocks, resumed=cache.hits if cache is not None else 0)
     return SpaceEvaluation(vectorized=result)
 
 

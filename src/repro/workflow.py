@@ -89,8 +89,9 @@ def recommend(
     together: the deadline governs, the budget is verified.)
 
     With ``checkpoint_dir``, the two long campaigns persist their progress
-    there (``baseline.json`` for the measurement sweep, ``space.json`` for
-    the space evaluation) and a re-invocation resumes them; combined with
+    there (the ``baseline.json`` ledger for the measurement sweep, the
+    ``space/`` disk-cache directory for the space evaluation's blocks) and
+    a re-invocation resumes them; combined with
     an enabled :mod:`repro.resilience` context the pipeline also survives
     lost samples.
 
@@ -117,7 +118,7 @@ def recommend(
         from repro.resilience.pipeline import evaluate_space_checkpointed
 
         evaluation = evaluate_space_checkpointed(
-            model, space, class_name, checkpoint_path=checkpoint_dir / "space.json"
+            model, space, class_name, checkpoint_path=checkpoint_dir / "space"
         )
     else:
         evaluation = evaluate_space(model, space, class_name)

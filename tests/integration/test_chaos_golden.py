@@ -12,9 +12,9 @@ campaign *exactly* (instruments are idempotent), while the corrupting
 schedule must reproduce its own pinned outputs exactly — both pinned at
 1e-9 in ``tests/fixtures/chaos/expected.json``.
 
-A second family of tests interrupts a checkpointed campaign (by rewriting
-the checkpoint with only a prefix of its completed units, as a crash
-would leave it) and asserts the resumed run is bit-identical to the
+A second family of tests interrupts a checkpointed campaign (by cutting
+the checkpoint back to a prefix of its completed units, as a crash would
+leave it) and asserts the resumed run is bit-identical to the
 uninterrupted one.
 
 Regenerate the expected file after an intentional model change with::
@@ -31,9 +31,14 @@ import numpy as np
 import pytest
 
 from repro import resilience
+from repro.core.cache import ResultCache, entry_identity
 from repro.core.configspace import ConfigSpace
 from repro.core.model import HybridProgramModel
-from repro.core.planner import WORKING_BYTES_PER_CONFIG, planner_config
+from repro.core.planner import (
+    WORKING_BYTES_PER_CONFIG,
+    iter_block_spaces,
+    planner_config,
+)
 from repro.machines.arm import arm_cluster
 from repro.resilience.pipeline import (
     characterize_resilient,
@@ -145,6 +150,20 @@ class TestInterruptResume:
         assert 0 < keep < len(lines), "truncation must bite"
         path.write_text("".join(lines[:keep]))
 
+    def _truncate_blocks(
+        self, directory: pathlib.Path, model, space, budget: int, keep: int
+    ) -> None:
+        """Delete every sweep block entry after the first ``keep``."""
+        cache = ResultCache(directory)
+        cls = model.inputs.baseline_class
+        paths = [
+            cache.path_for(entry_identity(model, sub, cls, "bracketed", True))
+            for _offset, _length, sub in iter_block_spaces(space, budget)
+        ]
+        assert 0 < keep < len(paths), "truncation must bite"
+        for path in paths[keep:]:
+            path.unlink()
+
     def test_baseline_sweep_resume_is_bit_identical(self, tmp_path):
         sim = SimulatedCluster(arm_cluster())
         program = get_program("CP")
@@ -165,12 +184,13 @@ class TestInterruptResume:
 
     def test_evaluate_space_resume_is_bit_identical(self, arm_cp_model, tmp_path):
         space = ConfigSpace.physical(arm_cluster())
-        ck = tmp_path / "space.json"
-        with planner_config(max_block_bytes=16 * WORKING_BYTES_PER_CONFIG):
+        ck = tmp_path / "space"
+        budget = 16 * WORKING_BYTES_PER_CONFIG
+        with planner_config(max_block_bytes=budget):
             full = evaluate_space_checkpointed(
                 arm_cp_model, space, checkpoint_path=ck
             )
-            self._truncate(ck, keep=4)
+            self._truncate_blocks(ck, arm_cp_model, space, budget, keep=4)
             resumed = evaluate_space_checkpointed(
                 arm_cp_model, space, checkpoint_path=ck
             )
@@ -188,7 +208,7 @@ class TestInterruptResume:
         plain = evaluate_space(arm_cp_model, space)
         with planner_config(max_block_bytes=16 * WORKING_BYTES_PER_CONFIG):
             via_ck = evaluate_space_checkpointed(
-                arm_cp_model, space, checkpoint_path=tmp_path / "space.json"
+                arm_cp_model, space, checkpoint_path=tmp_path / "space"
             )
         assert np.array_equal(
             plain.vectorized.times_s, via_ck.vectorized.times_s

@@ -63,3 +63,26 @@ def test_jointly_infeasible_raises(xeon_sim, xeon_sp_model):
             budget_j=1000.0,
             model=xeon_sp_model,
         )
+
+def test_checkpoint_dir_resumes_without_recomputing(
+    arm_sim, tmp_path, monkeypatch
+):
+    from repro.core import vectorized
+    from repro.workloads.registry import get_program
+
+    program = get_program("CP")
+    first = recommend(arm_sim, program, checkpoint_dir=tmp_path)
+    assert (tmp_path / "baseline.json").is_file()  # the baseline ledger
+    assert any((tmp_path / "space").glob("*.eval"))  # the sweep's blocks
+    calls = []
+    compute = vectorized._compute
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(vectorized, "_compute", counted)
+    vectorized.clear_evaluation_cache()  # no in-memory hits
+    again = recommend(arm_sim, program, checkpoint_dir=tmp_path)
+    assert calls == []
+    assert again == first

@@ -110,26 +110,30 @@ def test_checkpoint_for_other_task_exits_with_message(tmp_path, capsys):
 def test_pareto_checkpoint_resumes_identically_and_refuses_old_task(
     tmp_path, capsys
 ):
-    ck = tmp_path / "space.json"
+    ck = tmp_path / "space"
     argv = ["pareto", "--cluster", "arm", "--program", "CP", "--checkpoint", str(ck)]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert main(argv) == 0  # every block read back from the checkpoint
+    assert any(ck.glob("*.eval"))  # a disk-cache directory, one entry per block
+    assert main(argv) == 0  # every block read back from the directory
     assert capsys.readouterr().out == first
-    # a file of the retired chunk layout records the old task name
-    ck.write_text(
-        json.dumps(
-            {
-                "format_version": 1,
-                "kind": "repro_checkpoint",
-                "task": "evaluate_space",
-                "fingerprint": "deadbeefdeadbeef",
-                "completed": {},
-            }
-        )
+    # a JSON ledger of the retired block layout is a file, not a directory
+    old = tmp_path / "space.json"
+    ledger = json.dumps(
+        {
+            "format_version": 1,
+            "kind": "repro_checkpoint",
+            "task": "evaluate_space_blocks",
+            "fingerprint": "deadbeefdeadbeef",
+            "completed": {},
+        }
     )
+    old.write_text(ledger)
+    argv[-1] = str(old)
     assert main(argv) == 1
-    assert "belongs to task 'evaluate_space'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "is a file" in err and "directory of disk-cache entries" in err
+    assert old.read_text() == ledger
 
 
 def test_zero_timeout_is_rejected_before_any_measurement(capsys):

@@ -114,3 +114,27 @@ class TestBatchPlanning:
             assert b.start_s >= a.end_s - 1e-9
         assert plan.total_energy_j > 0
         assert plan.makespan_s >= max(p.prediction.time_s for p in plan.placements)
+
+    def test_checkpoint_dir_resumes_without_recomputing(
+        self, xeon_sp_model, tmp_path, monkeypatch
+    ):
+        from repro.core import vectorized
+
+        jobs = self.make_jobs(xeon_sp_model, [120.0, 150.0])
+        first = plan_batch(jobs, total_nodes=8, checkpoint_dir=tmp_path)
+        # jobs of one model share the content-keyed block entries
+        assert [p.name for p in tmp_path.iterdir()] == [
+            p.name for p in tmp_path.glob("*.eval")
+        ]
+        calls = []
+        compute = vectorized._compute
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(vectorized, "_compute", counted)
+        vectorized.clear_evaluation_cache()  # no in-memory hits
+        again = plan_batch(jobs, total_nodes=8, checkpoint_dir=tmp_path)
+        assert calls == []
+        assert again == first
