@@ -18,6 +18,7 @@ only rescale them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,6 +64,70 @@ class TermCorrections:
         )
 
 
+def _least_squares(
+    a: Sequence[Sequence[float]], b: Sequence[float], cols: Sequence[int]
+) -> list[float] | None:
+    """Unconstrained least squares on the columns ``cols`` of ``a``.
+
+    Householder QR in scalar Python: every dot product is a
+    ``math.fsum``, so the bits depend on neither the BLAS build nor the
+    interpreter's float ``sum``.  ``None`` when the columns are rank
+    deficient.
+    """
+    m, k = len(b), len(cols)
+    r = [[row[j] for j in cols] for row in a]
+    y = list(b)
+    for j in range(k):
+        norm = math.sqrt(math.fsum(r[i][j] * r[i][j] for i in range(j, m)))
+        if norm == 0.0:
+            return None
+        # reflect column j onto -sign(r_jj)·norm·e_j, so v[0] never cancels
+        v = [r[i][j] for i in range(j, m)]
+        v[0] += norm if v[0] >= 0.0 else -norm
+        vv = math.fsum(x * x for x in v)
+        for c in range(j, k):
+            s = 2.0 * math.fsum(v[i - j] * r[i][c] for i in range(j, m)) / vv
+            for i in range(j, m):
+                r[i][c] -= s * v[i - j]
+        s = 2.0 * math.fsum(v[i - j] * y[i] for i in range(j, m)) / vv
+        for i in range(j, m):
+            y[i] -= s * v[i - j]
+    x = [0.0] * k
+    for j in reversed(range(k)):
+        tail = math.fsum(r[j][c] * x[c] for c in range(j + 1, k))
+        x[j] = (y[j] - tail) / r[j][j]
+    return x
+
+
+def _nnls(a: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
+    """Non-negative least squares ``min ||a x - b||  s.t.  x >= 0``.
+
+    For a full-column-rank ``a`` the problem is strictly convex, and its
+    unique minimizer is the unconstrained least-squares solution on its
+    own support.  With four terms there are 15 non-empty supports, so
+    try each and keep the all-positive solution with the smallest
+    residual (``x = 0`` when none beats ``||b||``).
+    """
+    n = len(a[0])
+    best = [0.0] * n
+    best_residual = math.fsum(v * v for v in b)
+    for mask in range(1, 1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        sol = _least_squares(a, b, cols)
+        if sol is None or min(sol) <= 0.0:
+            continue
+        residual = math.fsum(
+            math.fsum([row[j] * x for j, x in zip(cols, sol)] + [-bi]) ** 2
+            for row, bi in zip(a, b)
+        )
+        if residual < best_residual:
+            best = [0.0] * n
+            for j, x in zip(cols, sol):
+                best[j] = x
+            best_residual = residual
+    return best
+
+
 def fit_corrections(
     model: HybridProgramModel,
     testbed: SimulatedCluster,
@@ -76,7 +141,9 @@ def fit_corrections(
     Solves the non-negative least squares problem over the probes, with a
     small Tikhonov pull toward the identity corrections so that terms
     absent from the probe set (e.g. network terms when probing single-node
-    configurations) stay at 1 instead of drifting to 0.
+    configurations) stay at 1 instead of drifting to 0.  The solver is
+    :func:`_nnls`: an exact search over the 15 supports of the four terms,
+    each solved by Householder QR in scalar Python (no BLAS call).
     """
     if len(probe_configs) < 2:
         raise ValueError("need at least two probe configurations")
@@ -111,11 +178,7 @@ def fit_corrections(
     lam = regularization * column_norms
     a_aug = np.vstack([a, np.diag(lam)])
     b_aug = np.concatenate([b, lam])
-    # scipy costs ~0.5 s and ~50 MiB to import, and this is its only
-    # caller: load it here so every other entry point stays without it
-    from scipy.optimize import nnls
-
-    coeffs, _ = nnls(a_aug, b_aug)
+    coeffs = _nnls(a_aug.tolist(), b_aug.tolist())
     return TermCorrections(
         cpu=float(coeffs[0]),
         mem=float(coeffs[1]),

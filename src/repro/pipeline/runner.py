@@ -190,7 +190,9 @@ def run_pipeline(
         fingerprint = identity_digest(identity)
         entry = None if force else store.get(identity)
         if entry is not None:
-            store.record_latest(stage.name, identity)
+            # a warm rerun writes nothing: rename only a pointer that moved
+            if store.latest_identity(stage.name) != identity:
+                store.record_latest(stage.name, identity)
             obs.add("pipeline.stage_runs.cached")
             report = StageReport(
                 name=stage.name,

@@ -53,7 +53,9 @@ def evaluate_space_checkpointed(
     for bit.  ``checkpoint_path`` names a disk-cache directory: every
     computed block is stored there as one entry, and a re-invocation
     reads the verified entries back and computes only the rest.  A torn
-    or foreign entry is a miss and is recomputed.  Raises
+    or foreign entry is a miss and is recomputed.  Entries another
+    budget cut are kept, not pruned: the directory may be shared across
+    jobs, so only ``ResultCache.clear()`` reclaims them.  Raises
     :class:`~repro.resilience.checkpoint.CheckpointError` when a file
     (such as an old JSON ledger) sits at ``checkpoint_path``.
     """

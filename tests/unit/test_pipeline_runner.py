@@ -357,6 +357,46 @@ def test_status_names_the_changed_upstream_artifact(bench):
     assert st["combine"].reasons == ("upstream artifact changed: extras",)
 
 
+def _latest_files(store):
+    return {
+        path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+        for path in (store.directory / "latest").iterdir()
+    }
+
+
+def test_warm_rerun_leaves_latest_pointers_untouched(bench):
+    run_pipeline(bench.pipeline(), bench.store)
+    before = _latest_files(bench.store)
+    assert len(before) == 4
+    run = run_pipeline(bench.pipeline(), bench.store)
+    assert run.executed == ()
+    assert _latest_files(bench.store) == before  # no write, no rename
+
+
+def test_status_reasons_after_an_edit_and_its_revert(bench):
+    run_pipeline(bench.pipeline(), bench.store)
+    bench.source.write_text("other words")
+    edited = {"title": "v2", "draft": True}
+    run_pipeline(bench.pipeline(report_params=edited), bench.store)
+    bench.source.write_text("alpha beta")  # revert both edits
+    run = run_pipeline(bench.pipeline(), bench.store)
+    assert run.executed == ()
+    st = _states(bench.pipeline(), bench.store)
+    assert all(s.state == "fresh" for s in st.values())
+    # the cached rerun moved the pointers back to the reverted
+    # identities, so a new edit is explained against them: diffed with
+    # the edited run, report would also name "title"
+    st = _states(
+        bench.pipeline(report_params={"title": "demo", "draft": False}),
+        bench.store,
+    )
+    assert st["report"].reasons == ("param changed: draft",)
+    bench.source.write_text("third")
+    st = _states(bench.pipeline(), bench.store)
+    assert st["parse"].reasons == (f"input changed: {bench.source}",)
+    assert st["enrich"].state == "fresh"
+
+
 def test_status_reports_evicted_entries_as_missing(bench):
     run_pipeline(bench.pipeline(), bench.store)
     for entry in bench.store.cache.entries():

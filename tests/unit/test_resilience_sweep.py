@@ -120,6 +120,21 @@ def test_resume_under_another_block_budget_is_bit_identical(
         _assert_bit_identical(again.vectorized, first.vectorized)
 
 
+def test_entries_of_another_block_budget_are_kept(arm_cp_model, tmp_path):
+    # the directory is a plain disk cache that plan_batch shares across
+    # jobs, so a sweep never prunes blocks it no longer cuts; only
+    # ResultCache.clear() (or deleting the directory) reclaims them
+    ck = tmp_path / "space"
+    counts = []
+    for budget in (BUDGET, 2 * BUDGET, BUDGET):
+        with planner_config(max_block_bytes=budget):
+            evaluate_space_checkpointed(arm_cp_model, SPACE, checkpoint_path=ck)
+        counts.append(len(list(ck.glob("*.eval"))))
+    assert counts == [16, 24, 24]
+    assert ResultCache(ck).clear() == 24
+    assert not list(ck.glob("*.eval"))
+
+
 def test_torn_entry_is_recomputed_alone(arm_cp_model, tmp_path, monkeypatch):
     ck = tmp_path / "space"
     with planner_config(max_block_bytes=BUDGET):

@@ -9,7 +9,10 @@ docs/PIPELINE.md makes:
    file as the reason, while the other branches stay fresh;
 2. the incremental rerun executes only the stage that reads the file
    (its outputs are unchanged, so early cutoff revalidates the rest);
-3. a cold rebuild in a fresh store produces bit-identical artifacts.
+3. a cold rebuild in a fresh store produces bit-identical artifacts;
+
+and, at the end, that no stage imported scipy: numpy is the package's
+only runtime dependency.
 
 The spec edit is reverted in a ``finally`` block, so the working tree
 is left untouched even on failure.  CI runs this as the "pipeline"
@@ -108,6 +111,9 @@ def main() -> int:
         finally:
             SPEC.write_bytes(original)
 
+    # CI installs the package without extras for this job, so this
+    # proves the paper DAG runs on numpy alone
+    ok &= _check("scipy" not in sys.modules, "scipy never imported")
     print("pipeline smoke:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
