@@ -132,9 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--checkpoint",
         default=None,
-        metavar="CHECKPOINT.json",
-        help="persist the baseline sweep's progress here and resume an "
-        "interrupted campaign from it",
+        metavar="DIR",
+        help="persist the baseline sweep point by point into this "
+        "disk-cache directory and resume an interrupted campaign from it",
     )
 
     p = sub.add_parser("predict", help="predict one configuration")

@@ -28,8 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.configspace import ConfigSpace, evaluate_space
+from repro.core.cache import ResultCache
+from repro.core.configspace import ConfigSpace, SpaceEvaluation, evaluate_space
 from repro.core.model import HybridProgramModel, Prediction
+from repro.core.planner import evaluate_blocks
 
 
 @dataclass(frozen=True)
@@ -159,11 +161,10 @@ def _plan(
             frequencies_hz=_frequencies_of(job.model),
         )
         if checkpoint_dir is not None:
-            from repro.resilience.pipeline import evaluate_space_checkpointed
-
-            evaluation = evaluate_space_checkpointed(
-                job.model, space, job.class_name, checkpoint_path=checkpoint_dir
+            vec, _blocks = evaluate_blocks(
+                job.model, space, job.class_name, ResultCache(checkpoint_dir)
             )
+            evaluation = SpaceEvaluation(vectorized=vec)
         else:
             # vectorized + LRU-cached: a queue of same-model jobs evaluates
             # its space once and replans from the cached arrays

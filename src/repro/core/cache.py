@@ -25,12 +25,11 @@ The UTF-8 JSON header holds the identity document, ``class_name``, ``n``
 and each field's dtype and data offset; it is space-padded so the data,
 and every array in it, starts 64-byte aligned.  The 17
 :data:`ARRAY_FIELDS` follow back to back (each padded to 64 bytes).
-Files are written with the shared atomic-write helper of
-:mod:`repro.resilience.checkpoint` (a per-thread temp file +
-:func:`os.replace`), so concurrent writers race benignly: the last
-complete rename wins and every reader always sees a complete file.  The
-embedded identity is compared on every read; a digest collision or a
-foreign, torn, truncated or old-format file is rejected as a miss
+Files are written with :func:`atomic_write_bytes` (a per-thread temp
+file + :func:`os.replace`), so concurrent writers race benignly: the
+last complete rename wins and every reader always sees a complete file.
+The embedded identity is compared on every read; a digest collision or
+a foreign, torn, truncated or old-format file is rejected as a miss
 instead of returning wrong results.
 
 Cache hits, misses, writes and rejections are mirrored into the
@@ -42,25 +41,26 @@ store**: :meth:`ResultCache.put_doc` / :meth:`ResultCache.get_doc`
 persist arbitrary JSON documents under the same fingerprinted-identity,
 atomic-write, verify-on-read contract (one ``<digest>.json`` file per
 entry).  The reproduction pipeline (:mod:`repro.pipeline`) keys its
-stage outputs through this surface — see ``docs/PIPELINE.md``.
+stage outputs through this surface — see ``docs/PIPELINE.md`` — and
+checkpointed campaigns (the baseline ``(c, f)`` sweep, the blocked
+configuration-space sweep) persist their units as entries too — see
+``docs/RESILIENCE.md``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import pathlib
 import struct
+import threading
 from typing import Any
 
 import numpy as np
 
 from repro import obs
 from repro.core.vectorized import VectorizedEvaluation, model_identity
-from repro.resilience.checkpoint import (
-    atomic_write_bytes,
-    atomic_write_text,
-    fingerprint,
-)
 
 #: On-disk format version; bump on any change to the entry layout.  The
 #: version participates in the fingerprint, so old entries are orphaned
@@ -103,6 +103,46 @@ ARRAY_FIELDS = (
     "energies_j",
     "ucrs",
 )
+
+
+def _canonical(identity: object) -> str:
+    """The one JSON text of an identity: sorted keys, tuples as lists."""
+    return json.dumps(identity, sort_keys=True, default=str)
+
+
+def fingerprint(identity: object) -> str:
+    """Stable digest of a JSON-serializable identity document."""
+    return hashlib.sha256(_canonical(identity).encode("utf-8")).hexdigest()[:16]
+
+
+def atomic_write_bytes(path: pathlib.Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically (temp file + rename).
+
+    The temp name is unique per process *and* thread, so concurrent
+    writers of one destination (engine-pool threads, forked workers)
+    each build a complete private file and race only on the final
+    :func:`os.replace`: the last rename wins and no reader ever sees a
+    torn file.  A failed write removes its temp file.
+    """
+    tmp = path.with_name(
+        f".{path.name}.tmp{os.getpid()}-{threading.get_ident()}"
+    )
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path: pathlib.Path, text: str) -> None:
+    """Write UTF-8 ``text`` to ``path`` atomically (see :func:`atomic_write_bytes`)."""
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_json(path: pathlib.Path, document: dict[str, Any]) -> None:
+    """Write ``document`` to ``path`` atomically (temp file + rename)."""
+    atomic_write_text(path, json.dumps(document, sort_keys=True) + "\n")
 
 
 def field_dtype(name: str) -> type:
@@ -328,7 +368,9 @@ class ResultCache:
         The same degradation contract as :meth:`get`: an unreadable
         file, a non-artifact file, or an embedded identity differing
         from the requested one (digest collision, foreign or torn file)
-        is rejected and counted as a miss, never returned.
+        is rejected and counted as a miss, never returned.  Identities
+        are compared in their canonical JSON form, so a tuple in the
+        requested identity matches the list it was stored as.
         """
         path = self.doc_path_for(identity)
         if not path.exists():
@@ -337,7 +379,9 @@ class ResultCache:
             return None
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(doc, dict) or doc.get("identity") != identity:
+            if not isinstance(doc, dict) or _canonical(
+                doc.get("identity")
+            ) != _canonical(identity):
                 raise ValueError("identity mismatch")
             payload = doc["payload"]
         except (OSError, ValueError, KeyError, json.JSONDecodeError):

@@ -77,7 +77,7 @@ def characterize(
     every value passes through a measurement interface (counters, mpiP,
     NetPIPE, wall meter), never through simulator internals.
 
-    ``baseline_checkpoint`` (a ledger file path) makes the baseline
+    ``baseline_checkpoint`` (a checkpoint directory) makes the baseline
     (c, f) sweep resumable; under an enabled resilience context the whole
     campaign degrades gracefully on lost samples (see
     :func:`repro.resilience.pipeline.characterize_resilient` for the

@@ -22,8 +22,8 @@ exported as ``repro_plan_selected_total{strategy="…"}``.
 evaluates a space in contiguous flat-order blocks sized by a byte
 budget, reading or writing each block as its own disk-cache entry when
 a cache is given.  Every piecewise evaluation is a fold over it: assembly
-(:func:`evaluate_space_streamed`, and the checkpointed sweep of
-:mod:`repro.resilience.pipeline`), the running top-k / Pareto
+(:func:`evaluate_space_streamed`, and :func:`evaluate_blocks`, which
+checkpointed sweeps run), the running top-k / Pareto
 selections (:func:`stream_topk`, :func:`stream_pareto`) and the what-if
 deltas (:meth:`repro.core.whatif.WhatIf.compare_streamed`).  Results
 are **bit-identical** to the materialized path — every block stays
@@ -343,6 +343,29 @@ def evaluate_space_streamed(
         )
         sp.set(class_name=result.class_name, blocks=blocks)
     return result
+
+
+def evaluate_blocks(
+    model: HybridProgramModel,
+    space: object,
+    class_name: str | None,
+    cache: ResultCache | None,
+) -> tuple[VectorizedEvaluation, int]:
+    """Assemble ``space`` from blocks cut under the active budget.
+
+    The budget is the active ``max_block_bytes``, else the default.
+    With a ``cache``, every block is its own entry: stored blocks are
+    read back and the rest are computed and stored, so an interrupted
+    sweep resumes from its directory bit for bit.  Returns the
+    evaluation and the block count.
+    """
+    config = active_config()
+    budget = (config and config.max_block_bytes) or DEFAULT_MAX_BLOCK_BYTES
+    space = _materialize(space)
+    cls = class_name or model.inputs.baseline_class
+    return _assemble(
+        _blocks(model, space, cls, "bracketed", True, budget, cache), space, cls
+    )
 
 
 def _assemble(

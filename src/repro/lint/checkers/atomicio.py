@@ -1,7 +1,7 @@
 """RL004 — cache/checkpoint files must be written atomically.
 
-The persistent result cache (:mod:`repro.core.cache`) and the
-checkpoint layer (:mod:`repro.resilience.checkpoint`) promise that a
+The persistent result cache (:mod:`repro.core.cache`), which also holds
+the pipeline's artifacts and every campaign checkpoint, promises that a
 reader never observes a torn file: writers build a complete temp file
 and race on the final :func:`os.replace`.  A bare ``open(path, "w")``,
 ``np.save`` or ``json.dump`` straight onto the destination breaks that
@@ -13,13 +13,9 @@ anywhere whose target expression mentions a cache/checkpoint path
 (``config.atomic_target_markers``).  A write passes when its enclosing
 function uses the tmp+rename idiom (an ``os.replace``/``os.rename``/
 ``Path.rename`` call, with the written target named like a temp file)
-or targets an in-memory ``io.BytesIO``/``io.StringIO`` buffer.
-
-One append journal is exempt: the single function named by
-``config.atomic_appender`` (the checkpoint ledger's line appender) may
-``open(path, "a")``.  Its reader drops a torn last line, so a crash
-mid-append loses only the unit being written.  Any other write in that
-function, and any append anywhere else, is still checked.
+or targets an in-memory ``io.BytesIO``/``io.StringIO`` buffer.  An
+append (``open(path, "a")``) is never atomic, so every one in scope is
+flagged.
 
 The tmp half must also be private to its writer.  A temp name built from
 ``os.getpid()`` alone is shared by every thread of the process: two
@@ -33,7 +29,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.analysis import analyze
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import Module, Project, import_aliases, resolve_dotted
@@ -111,19 +106,12 @@ class AtomicIoChecker:
 
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         """Scan atomic-scoped modules and marker-matching writes."""
-        appender = analyze(project).symbols.functions.get(config.atomic_appender)
         for module in project.modules:
             scoped = config.path_matches(module.rel, config.atomic_modules)
-            yield from self._check_module(
-                module, scoped, config, appender.node if appender else None
-            )
+            yield from self._check_module(module, scoped, config)
 
     def _check_module(
-        self,
-        module: Module,
-        scoped: bool,
-        config: LintConfig,
-        appender: ast.AST | None,
+        self, module: Module, scoped: bool, config: LintConfig
     ) -> Iterator[Finding]:
         aliases = import_aliases(module.tree)
         for func_node, calls in _functions_with_calls(module.tree):
@@ -138,10 +126,6 @@ class AtomicIoChecker:
                 target = _call_target(call, resolved)
                 if target is None:
                     continue
-                if func_node is appender and (
-                    _open_mode(call, resolved) or ""
-                ).startswith("a"):
-                    continue  # the append journal: open() drops a torn tail
                 target_text = ast.unparse(target)
                 in_scope = scoped or any(
                     marker in target_text.lower()
@@ -161,8 +145,8 @@ class AtomicIoChecker:
                                 f"temp file {target_text!r} is named from "
                                 "os.getpid() alone, so threads of one "
                                 "process share it: add threading."
-                                "get_ident() (see repro.resilience."
-                                "checkpoint.atomic_write_bytes)"
+                                "get_ident() (see repro.core.cache."
+                                "atomic_write_bytes)"
                             ),
                             snippet=module.line(call.lineno),
                         )
@@ -174,7 +158,7 @@ class AtomicIoChecker:
                     message=(
                         f"non-atomic write to {target_text!r}: write a "
                         "temp file and os.replace() it over the "
-                        "destination (see repro.resilience.checkpoint."
+                        "destination (see repro.core.cache."
                         "atomic_write_json)"
                     ),
                     snippet=module.line(call.lineno),

@@ -110,22 +110,17 @@ class LintConfig:
     determinism_allowed: tuple[str, ...] = ("repro/rng.py",)
 
     #: RL004 — modules whose *every* write must use tmp+rename (the
-    #: cache and checkpoint layers).  Writes elsewhere are checked only
-    #: when their target expression mentions a cache/checkpoint path.
+    #: disk cache, which also holds checkpoints, and the artifact store).
+    #: Writes elsewhere are checked only when their target expression
+    #: mentions a cache/checkpoint path.
     atomic_modules: tuple[str, ...] = (
         "repro/core/cache.py",
         "repro/pipeline/store.py",
-        "repro/resilience/checkpoint.py",
     )
 
     #: RL004 — substrings that mark a write target as cache/checkpoint
     #: data in modules outside :attr:`atomic_modules`.
     atomic_target_markers: tuple[str, ...] = ("cache", "checkpoint")
-
-    #: RL004 — the one function allowed to ``open(path, "a")`` an atomic
-    #: file: the checkpoint ledger's appender, whose reader drops a torn
-    #: last line (``Checkpoint.open``).
-    atomic_appender: str = "repro.resilience.checkpoint.Checkpoint._append"
 
     #: RL005 — qualified names of pipeline entry points requiring spans.
     obs_entry_points: tuple[str, ...] = field(

@@ -27,7 +27,6 @@ from repro.machines.spec import Configuration
 from repro.measure.counters import CounterReading, read_counters
 from repro.measure.mpip import MpiPReport, profile_run
 from repro.measure.timecmd import measure_wall_time
-from repro.resilience.checkpoint import Checkpoint, fingerprint
 from repro.simulate.cluster import SimulatedCluster
 from repro.workloads.base import HybridProgram
 
@@ -104,32 +103,36 @@ class CommProfile:
             raise ValueError("mpiP reports must be at distinct node counts")
 
 
-def _sweep_checkpoint(
-    checkpoint: str | pathlib.Path | None,
+#: Marker naming baseline point entries in their identity documents.
+POINT_KIND = "repro_baseline_point"
+
+
+def _campaign_identity(
     cluster: SimulatedCluster,
     program: HybridProgram,
     cls: str,
     repetitions: int,
-) -> Checkpoint | None:
-    """Open the sweep's checkpoint, fingerprinted over everything that
-    determines the sweep's outputs."""
-    if checkpoint is None:
-        return None
-    spec = cluster.spec
-    return Checkpoint.open(
-        checkpoint,
-        "baseline_sweep",
-        fingerprint(
-            {
-                "cluster": spec.name,
-                "program": program.name,
-                "class_name": cls,
-                "repetitions": repetitions,
-                "core_counts": list(spec.node.core_counts),
-                "frequencies_hz": list(spec.frequencies_hz),
-            }
+    context: resilience.ResilienceContext | None,
+) -> dict[str, object]:
+    """Everything a sweep point depends on besides its own (c, f).
+
+    The whole testbed (spec, noise model, root seed and faults, through
+    its dataclass ``repr``), the program, class and repetitions, and the
+    active resilience policy and chaos schedule, which drop and corrupt
+    samples.  A checkpoint of any other campaign is never addressed.
+    """
+    return {
+        "kind": POINT_KIND,
+        "cluster": repr(cluster),
+        "program": program.name,
+        "class_name": cls,
+        "repetitions": repetitions,
+        "resilience": (
+            None
+            if context is None
+            else [repr(context.policy), repr(context.chaos)]
         ),
-    )
+    }
 
 
 def run_baseline_sweep(
@@ -141,25 +144,41 @@ def run_baseline_sweep(
 ) -> BaselineSweep:
     """Single-node sweep over all (c, f): the paper's baseline executions.
 
-    With ``checkpoint``, each completed point is persisted as it finishes
-    and a re-invocation resumes, skipping completed points — the resumed
-    sweep is bit-identical to an uninterrupted one.  Under an enabled
-    resilience context, points whose every repetition stays lost are
-    dropped (recorded as lost units), as long as every core count keeps
-    at least one frequency.
+    With ``checkpoint`` (a directory, see
+    :mod:`repro.resilience.checkpoint`), each completed point is persisted
+    as one disk-cache entry as it finishes and a re-invocation resumes,
+    skipping completed points — the resumed sweep is bit-identical to an
+    uninterrupted one.  Entries are keyed on the point's full identity
+    (:func:`_campaign_identity` plus its (c, f)), so a torn entry or one
+    of another campaign is a miss and that point is measured again.
+    Under an enabled resilience context, points whose every repetition
+    stays lost are dropped (recorded as lost units), as long as every
+    core count keeps at least one frequency.
     """
     cls = class_name or program.reference_class
     spec = cluster.spec
-    ck = _sweep_checkpoint(checkpoint, cluster, program, cls, repetitions)
+    context = resilience.get_context()
+    ck = campaign = None
+    if checkpoint is not None:
+        # imported here: repro.core.params imports this module, and the
+        # cache imports the core model
+        from repro.resilience.checkpoint import open_checkpoint
+
+        ck = open_checkpoint(checkpoint)
+        # a fresh directory holds no point: a cold sweep skips the reads
+        stored = bool(ck.entries())
+        campaign = _campaign_identity(
+            cluster, program, cls, repetitions, context
+        )
     points: dict[tuple[int, float], BaselinePoint] = {}
     lost_points: list[str] = []
-    context = resilience.get_context()
     with obs.span("baseline_sweep", program=program.name, class_name=cls) as sp:
         for c in spec.node.core_counts:
             for f in spec.frequencies_hz:
                 key = f"{c}@{f:.0f}"
                 if ck is not None:
-                    done = ck.get(key)
+                    identity = {**campaign, "cores": c, "frequency_hz": f}
+                    done = ck.get_doc(identity) if stored else None
                     if done is not None:
                         if done.get("lost"):
                             lost_points.append(key)
@@ -186,13 +205,14 @@ def run_baseline_sweep(
                     if context is not None:
                         context.note_lost_unit("baseline", key)
                     if ck is not None:
-                        ck.record(key, {"lost": True})
+                        ck.put_doc(identity, {"lost": True})
                     continue
                 point = BaselinePoint.from_readings(c, f, readings, walls)
                 points[(c, f)] = point
                 if ck is not None:
-                    ck.record(
-                        key, {"lost": False, "point": dataclasses.asdict(point)}
+                    ck.put_doc(
+                        identity,
+                        {"lost": False, "point": dataclasses.asdict(point)},
                     )
         sp.set(points=len(points), repetitions=repetitions)
     missing = sorted(

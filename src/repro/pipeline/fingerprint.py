@@ -14,9 +14,9 @@ everything the stage's outputs depend on:
   the early-cutoff property);
 * the declared output names and the on-disk format version.
 
-The document's digest (via :func:`repro.resilience.checkpoint.
-fingerprint`, the same hashing used by checkpoints and the result
-cache) addresses the stage's entry in the artifact store.
+The document's digest (via :func:`repro.core.cache.fingerprint`, the
+same hashing the result cache keys every entry with) addresses the
+stage's entry in the artifact store.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ import json
 import pathlib
 from typing import Any, Mapping
 
+from repro.core.cache import fingerprint
 from repro.pipeline.dag import PipelineError
 from repro.pipeline.stage import Stage
-from repro.resilience.checkpoint import fingerprint
 
 #: Participates in every stage identity; bump on layout changes so old
 #: store entries are orphaned rather than misread.

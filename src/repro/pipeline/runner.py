@@ -19,11 +19,13 @@ recorded execution.
 Stage checkpoints: each execution gets a private directory keyed by the
 stage's fingerprint; resumable campaigns (:func:`repro.core.inputs.
 characterize` with ``baseline_checkpoint``, :func:`repro.resilience.
-pipeline.evaluate_space_checkpointed`) park their checkpoints there, so a
-crashed run resumes mid-stage.  The directory is wiped whenever the
-stage's identity changes — a stale campaign must never resume into a new
-one (:class:`repro.resilience.checkpoint.Checkpoint` would refuse with a
-``CheckpointError``; we never get that far) — and after success.
+pipeline.evaluate_space_checkpointed`) checkpoint into it, so a crashed
+run resumes mid-stage.  The directory is wiped whenever the stage's
+identity changes and after success.  The wipe is what keeps a stale
+campaign from resuming into a new one: a campaign's unit identities name
+its simulator, params and options, but not the content of the stage's
+declared input files, so an edited input would otherwise resume the
+units measured before the edit.
 """
 
 from __future__ import annotations

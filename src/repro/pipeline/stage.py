@@ -36,6 +36,14 @@ class StageContext:
     private checkpoint directory for resumable campaigns, and the run
     workspace (for scratch only — durable outputs must be *returned*,
     not written ad hoc, so the store stays the source of truth).
+
+    Files under ``checkpoint_dir`` survive a crashed or interrupted run
+    and are handed back on the next execution of the *same* stage
+    fingerprint, so long campaigns (the baseline sweep, blocked space
+    evaluations) checkpoint into it and resume mid-stage through the
+    DAG.  The runner clears the directory when the stage's identity
+    changes (a stale campaign must not resume into a new one) and after
+    the stage completes.
     """
 
     stage: "Stage"
@@ -63,20 +71,6 @@ class StageContext:
                 f"artifact {name!r}; declared deps see: "
                 f"{sorted(self.artifacts)}"
             ) from None
-
-    def checkpoint_path(self, suffix: str = "checkpoint") -> pathlib.Path:
-        """A checkpoint file path private to this stage.
-
-        Files under the stage's checkpoint directory survive a crashed
-        or interrupted run and are handed back on the next execution of
-        the *same* stage fingerprint, so long campaigns (the baseline
-        sweep, chunked space evaluations) resume mid-stage through the
-        DAG.  The runner clears the directory when the stage's identity
-        changes (a stale campaign must not resume into a new one) and
-        after the stage completes.
-        """
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        return self.checkpoint_dir / f"{suffix}.json"
 
 
 #: A stage's work: receives the context, returns ``{output_name: payload}``

@@ -25,16 +25,14 @@ import pathlib
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.core.cache import ResultCache
-from repro.pipeline.fingerprint import identity_digest, payload_digest
-from repro.resilience.checkpoint import atomic_write_json
+from repro.core.cache import ResultCache, atomic_write_json
+from repro.pipeline.fingerprint import payload_digest
 
 
 @dataclass(frozen=True)
 class StoreEntry:
     """One stage's stored result: output payloads and their digests."""
 
-    fingerprint: str
     outputs: Mapping[str, Any]
     output_digests: Mapping[str, str]
 
@@ -71,11 +69,7 @@ class ArtifactStore:
             return None
         if set(outputs) != set(digests):
             return None
-        return StoreEntry(
-            fingerprint=identity_digest(identity),
-            outputs=outputs,
-            output_digests=digests,
-        )
+        return StoreEntry(outputs=outputs, output_digests=digests)
 
     def put(
         self, identity: Mapping[str, Any], outputs: Mapping[str, Any]
@@ -90,11 +84,7 @@ class ArtifactStore:
             dict(identity),
             {"outputs": dict(outputs), "output_digests": digests},
         )
-        return StoreEntry(
-            fingerprint=identity_digest(identity),
-            outputs=dict(outputs),
-            output_digests=digests,
-        )
+        return StoreEntry(outputs=dict(outputs), output_digests=digests)
 
     def contains(self, identity: Mapping[str, Any]) -> bool:
         """Whether an entry file exists for ``identity`` (cheap probe)."""

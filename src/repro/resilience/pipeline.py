@@ -31,11 +31,10 @@ from typing import Mapping
 from repro import obs
 from repro import resilience
 from repro.core import planner
-from repro.core.cache import ResultCache
 from repro.core.configspace import SpaceEvaluation
 from repro.core.model import HybridProgramModel
 from repro.resilience import InstrumentStats, ResilienceContext
-from repro.resilience.checkpoint import CheckpointError
+from repro.resilience.checkpoint import open_checkpoint
 
 
 def evaluate_space_checkpointed(
@@ -62,25 +61,9 @@ def evaluate_space_checkpointed(
     space = planner._materialize(space)
     if not len(space):
         raise ValueError("configuration space is empty")
-    cls = class_name or model.inputs.baseline_class
-    config = planner.active_config()
-    budget = (config and config.max_block_bytes) or planner.DEFAULT_MAX_BLOCK_BYTES
-    cache: ResultCache | None = None
-    if checkpoint_path is not None:
-        path = pathlib.Path(checkpoint_path)
-        if path.exists() and not path.is_dir():
-            raise CheckpointError(
-                f"sweep checkpoint {path} is a file; a sweep checkpoint is a "
-                "directory of disk-cache entries (one .eval file per block) — "
-                "point --checkpoint at a directory"
-            )
-        cache = ResultCache(path)
+    cache = None if checkpoint_path is None else open_checkpoint(checkpoint_path)
     with obs.span("evaluate_space_checkpointed", configs=len(space)) as sp:
-        result, blocks = planner._assemble(
-            planner._blocks(model, space, cls, "bracketed", True, budget, cache),
-            space,
-            cls,
-        )
+        result, blocks = planner.evaluate_blocks(model, space, class_name, cache)
         sp.set(blocks=blocks, resumed=cache.hits if cache is not None else 0)
     return SpaceEvaluation(vectorized=result)
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.core.cache import fingerprint
 from repro.machines.registry import list_clusters
-from repro.resilience.checkpoint import fingerprint
 from repro.units import ghz
 from repro.workloads.registry import list_programs
 

@@ -89,26 +89,20 @@ def recommend(
     together: the deadline governs, the budget is verified.)
 
     With ``checkpoint_dir``, the two long campaigns persist their progress
-    there (the ``baseline.json`` ledger for the measurement sweep, the
-    ``space/`` disk-cache directory for the space evaluation's blocks) and
-    a re-invocation resumes them; combined with
-    an enabled :mod:`repro.resilience` context the pipeline also survives
-    lost samples.
+    into that one disk-cache directory (one entry per baseline point, one
+    per block of the space evaluation) and a re-invocation resumes them;
+    combined with an enabled :mod:`repro.resilience` context the pipeline
+    also survives lost samples.
 
     Raises :class:`ValueError` if the constraints are infeasible on the
     physical space.
     """
-    if checkpoint_dir is not None:
-        checkpoint_dir = pathlib.Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
     if model is None:
         if checkpoint_dir is not None:
             from repro.core.inputs import characterize
 
             inputs = characterize(
-                testbed,
-                program,
-                baseline_checkpoint=checkpoint_dir / "baseline.json",
+                testbed, program, baseline_checkpoint=checkpoint_dir
             )
             model = HybridProgramModel(program=program, inputs=inputs)
         else:
@@ -118,7 +112,7 @@ def recommend(
         from repro.resilience.pipeline import evaluate_space_checkpointed
 
         evaluation = evaluate_space_checkpointed(
-            model, space, class_name, checkpoint_path=checkpoint_dir / "space"
+            model, space, class_name, checkpoint_path=checkpoint_dir
         )
     else:
         evaluation = evaluate_space(model, space, class_name)

@@ -141,14 +141,20 @@ def _stats(report):
 
 class TestInterruptResume:
     """A crashed-and-resumed campaign is bit-identical to an uninterrupted
-    one: same checkpoint file, half its units erased, re-run."""
+    one: same checkpoint directory, some of its units erased, re-run."""
 
-    def _truncate(self, path: pathlib.Path, keep: int) -> None:
-        """Cut the ledger to its first ``keep`` units: the header line
-        (which carries the first unit) plus the next ``keep - 1`` lines."""
-        lines = path.read_text().splitlines(keepends=True)
-        assert 0 < keep < len(lines), "truncation must bite"
-        path.write_text("".join(lines[:keep]))
+    def _truncate(self, directory: pathlib.Path, keep: int) -> None:
+        """Delete every point entry after the first ``keep`` in sweep
+        order, as a crash after ``keep`` stored points would."""
+
+        def sweep_order(path: pathlib.Path) -> tuple[int, float]:
+            identity = json.loads(path.read_text())["identity"]
+            return identity["cores"], identity["frequency_hz"]
+
+        paths = sorted(directory.glob("*.json"), key=sweep_order)
+        assert 0 < keep < len(paths), "truncation must bite"
+        for path in paths[keep:]:
+            path.unlink()
 
     def _truncate_blocks(
         self, directory: pathlib.Path, model, space, budget: int, keep: int
@@ -168,7 +174,7 @@ class TestInterruptResume:
         sim = SimulatedCluster(arm_cluster())
         program = get_program("CP")
         chaos = resilience.ChaosSchedule.load(FIXTURES / "schedule_a.json")
-        ck = tmp_path / "baseline.json"
+        ck = tmp_path / "baseline"
         with resilience.enabled(resilience.RetryPolicy.aggressive(), chaos):
             full, _ = characterize_resilient(
                 sim, program, baseline_checkpoint=ck

@@ -137,3 +137,28 @@ def test_repro_summary_matches_paper_structure(sandbox_root, tmp_path):
     dvfs = run.artifacts["ext_dvfs_advice"]
     assert dvfs["advised_configs"] >= 1
     assert dvfs["confirmed_configs"] >= 0.6 * dvfs["advised_configs"]
+
+
+def test_warm_paper_rerun_hashes_each_stage_identity_twice(
+    sandbox_root, tmp_path, monkeypatch
+):
+    """A cached stage fingerprints its identity once for the run report
+    and once to address its store entry: 16 digests for the 8 stages."""
+    from repro.core import cache
+    from repro.pipeline import fingerprint
+
+    pipeline = paper_pipeline()
+    store = ArtifactStore(tmp_path / "store")
+    run_pipeline(pipeline, store)
+    calls = []
+    digest = cache.fingerprint
+
+    def counted(identity):
+        calls.append(identity)
+        return digest(identity)
+
+    monkeypatch.setattr(cache, "fingerprint", counted)
+    monkeypatch.setattr(fingerprint, "fingerprint", counted)
+    warm = run_pipeline(pipeline, store)
+    assert len(warm.cached) == len(pipeline.order) == 8
+    assert len(calls) == 16

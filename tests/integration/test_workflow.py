@@ -72,8 +72,8 @@ def test_checkpoint_dir_resumes_without_recomputing(
 
     program = get_program("CP")
     first = recommend(arm_sim, program, checkpoint_dir=tmp_path)
-    assert (tmp_path / "baseline.json").is_file()  # the baseline ledger
-    assert any((tmp_path / "space").glob("*.eval"))  # the sweep's blocks
+    assert any(tmp_path.glob("*.json"))  # the baseline points
+    assert any(tmp_path.glob("*.eval"))  # the sweep's blocks
     calls = []
     compute = vectorized._compute
 

@@ -21,90 +21,62 @@ def drop_all_schedule(tmp_path):
     return path
 
 
+def _characterize(tmp_path, checkpoint, output="inputs.json", *extra):
+    return main(
+        [
+            "characterize",
+            "--cluster",
+            "arm",
+            "--program",
+            "CP",
+            "--output",
+            str(tmp_path / output),
+            "--checkpoint",
+            str(checkpoint),
+            *extra,
+        ]
+    )
+
+
 def test_garbage_checkpoint_file_exits_with_message(tmp_path, capsys):
+    # a file where the checkpoint directory goes (an old ledger, say) is
+    # refused, never read or overwritten
     ck = tmp_path / "baseline.json"
     ck.write_text("{torn mid-write")
-    code = main(
-        [
-            "characterize",
-            "--cluster",
-            "arm",
-            "--program",
-            "CP",
-            "--output",
-            str(tmp_path / "inputs.json"),
-            "--checkpoint",
-            str(ck),
-        ]
-    )
-    assert code == 1
+    assert _characterize(tmp_path, ck) == 1
     err = capsys.readouterr().err
     assert "error:" in err
-    assert "not valid JSON" in err
-    assert "delete it" in err
-
-
-def test_checkpoint_from_different_campaign_exits_with_message(tmp_path, capsys):
-    # a structurally valid checkpoint whose fingerprint matches no campaign
-    ck = tmp_path / "baseline.json"
-    ck.write_text(
-        json.dumps(
-            {
-                "format_version": 1,
-                "kind": "repro_checkpoint",
-                "task": "baseline_sweep",
-                "fingerprint": "deadbeefdeadbeef",
-                "completed": {},
-            }
-        )
-    )
-    code = main(
-        [
-            "characterize",
-            "--cluster",
-            "arm",
-            "--program",
-            "CP",
-            "--output",
-            str(tmp_path / "inputs.json"),
-            "--checkpoint",
-            str(ck),
-        ]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "different baseline_sweep configuration" in err
+    assert "is a file" in err and "directory of disk-cache entries" in err
     assert "--checkpoint" in err
+    assert ck.read_text() == "{torn mid-write"
 
 
-def test_checkpoint_for_other_task_exits_with_message(tmp_path, capsys):
-    ck = tmp_path / "baseline.json"
-    ck.write_text(
-        json.dumps(
-            {
-                "format_version": 1,
-                "kind": "repro_checkpoint",
-                "task": "search",
-                "fingerprint": "deadbeefdeadbeef",
-                "completed": {},
-            }
-        )
-    )
-    code = main(
-        [
-            "characterize",
-            "--cluster",
-            "arm",
-            "--program",
-            "CP",
-            "--output",
-            str(tmp_path / "inputs.json"),
-            "--checkpoint",
-            str(ck),
-        ]
-    )
-    assert code == 1
-    assert "belongs to task" in capsys.readouterr().err
+def test_checkpoint_from_different_campaign_recomputes(tmp_path, capsys):
+    # points of a campaign with other repetitions share the directory but
+    # are never addressed: every point is measured afresh
+    ck = tmp_path / "ck"
+    assert _characterize(tmp_path, ck, "once.json", "--repetitions", "1") == 0
+    assert _characterize(tmp_path, ck) == 0
+    assert _characterize(tmp_path, tmp_path / "fresh", "fresh.json") == 0
+    capsys.readouterr()
+    assert (tmp_path / "inputs.json").read_text() == (
+        tmp_path / "fresh.json"
+    ).read_text()
+
+
+def test_checkpoint_for_other_task_recomputes(tmp_path, capsys):
+    # a space sweep's block entries in the directory are not baseline
+    # points: the baseline sweep measures every point afresh
+    ck = tmp_path / "ck"
+    pareto = ["pareto", "--cluster", "arm", "--program", "CP"]
+    assert main([*pareto, "--checkpoint", str(ck)]) == 0
+    assert any(ck.glob("*.eval"))
+    assert _characterize(tmp_path, ck) == 0
+    assert _characterize(tmp_path, tmp_path / "fresh", "fresh.json") == 0
+    capsys.readouterr()
+    assert (tmp_path / "inputs.json").read_text() == (
+        tmp_path / "fresh.json"
+    ).read_text()
 
 
 def test_pareto_checkpoint_resumes_identically_and_refuses_old_task(

@@ -24,7 +24,9 @@ from repro.core.cache import (
     FORMAT_VERSION,
     MAGIC,
     ResultCache,
+    atomic_write_json,
     entry_identity,
+    fingerprint,
 )
 from repro.core.configspace import ConfigSpace
 from repro.core.vectorized import _compute, clear_evaluation_cache
@@ -344,7 +346,7 @@ def test_failed_write_leaves_no_temp_file(cache, model, result, monkeypatch):
     def fail(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr("repro.resilience.checkpoint.os.replace", fail)
+    monkeypatch.setattr("repro.core.cache.os.replace", fail)
     with pytest.raises(OSError):
         cache.put(_identity(model), result)
     assert list(cache.directory.iterdir()) == []
@@ -448,6 +450,15 @@ def test_contains_probes_both_entry_kinds(cache, model, result):
     assert len(cache.entries()) == 2
 
 
+def test_identity_holding_tuples_hits_its_own_doc(cache):
+    """A stored identity reads back with lists where the request holds
+    tuples; the two are the same canonical JSON, so the entry hits."""
+    identity = dict(DOC_IDENTITY, params={"probes": ((1, 2),), "axes": (3,)})
+    cache.put_doc(identity, DOC_PAYLOAD)
+    assert cache.get_doc(identity) == DOC_PAYLOAD
+    assert cache.stats()["rejected"] == 0
+
+
 def test_foreign_doc_rejected(cache):
     """A document whose embedded identity differs degrades to a miss."""
     other = dict(DOC_IDENTITY, stage="other")
@@ -500,3 +511,35 @@ def test_concurrent_doc_writers_race_benignly(tmp_path):
     ]
     assert list(directory.glob(".*tmp*")) == []
     assert cache.get_doc(DOC_IDENTITY) == DOC_PAYLOAD
+
+
+# ----------------------------------------------------------------------
+# the shared fingerprint and atomic-write helpers
+# ----------------------------------------------------------------------
+
+
+class TestFingerprint:
+    def test_stable_across_key_order(self):
+        assert fingerprint({"a": 1, "b": 2}) == fingerprint({"b": 2, "a": 1})
+
+    def test_sensitive_to_values(self):
+        assert fingerprint({"a": 1}) != fingerprint({"a": 2})
+
+    def test_short_hex(self):
+        digest = fingerprint({"x": [1, 2, 3]})
+        assert len(digest) == 16
+        int(digest, 16)  # valid hex
+
+
+class TestAtomicWrite:
+    def test_writes_valid_json_and_no_temp_left(self, tmp_path):
+        path = tmp_path / "ck.json"
+        atomic_write_json(path, {"k": 1.5})
+        assert json.loads(path.read_text()) == {"k": 1.5}
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_replaces_existing_content(self, tmp_path):
+        path = tmp_path / "ck.json"
+        atomic_write_json(path, {"old": True})
+        atomic_write_json(path, {"new": True})
+        assert json.loads(path.read_text()) == {"new": True}

@@ -403,19 +403,6 @@ class TestAtomicIoRL004:
             fh.write(line)
     """
 
-    def test_named_appender_alone_may_append(self, tmp_path):
-        result = _lint(
-            tmp_path,
-            ["RL004"],
-            {"ledger.py": self._LEDGER},
-            atomic_modules=("ledger.py",),
-            atomic_appender="ledger.Ledger._append",
-        )
-        # the appender's append passes; its sibling's truncating write
-        # and an append in any other function are still bare writes
-        assert [f.line for f in result.findings] == [7, 12]
-        assert {f.rule for f in result.findings} == {"RL004"}
-
     def test_append_is_flagged_without_the_named_appender(self, tmp_path):
         result = _lint(
             tmp_path,

@@ -201,8 +201,8 @@ class TestSeededRegressions:
     def test_rl004_atomicio_regression(self, tmp_path):
         _seed(
             tmp_path,
-            "src/repro/resilience/checkpoint.py",
-            "repro/resilience/checkpoint.py",
+            "src/repro/core/cache.py",
+            "repro/core/cache.py",
             "os.replace(",
             "print(",
         )

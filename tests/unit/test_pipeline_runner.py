@@ -119,6 +119,48 @@ def test_warm_run_is_fully_cached(bench):
     assert run.artifacts["combined"] == ["alpha", "beta", "gamma"]
 
 
+def test_tuple_params_hit_their_own_entry(tmp_path):
+    # params read back from the entry as lists; the canonical JSON of
+    # the identity is what must match
+    calls = []
+    pipeline = Pipeline(
+        [
+            Stage(
+                name="probe",
+                run=lambda ctx: calls.append(1) or {"out": [1]},
+                outputs=("out",),
+                params={"probes": ((1, 2),)},
+            )
+        ]
+    )
+    store = ArtifactStore(tmp_path / "store")
+    runs = [run_pipeline(pipeline, store) for _ in range(3)]
+    assert [run.executed for run in runs] == [("probe",), (), ()]
+    assert len(calls) == 1
+    stats = store.stats()
+    assert (stats["hits"], stats["writes"], stats["rejected"]) == (2, 1, 0)
+
+
+def test_warm_stage_hashes_its_identity_twice(bench, monkeypatch):
+    # once for the report's fingerprint, once to address the store entry
+    from repro.core import cache
+    from repro.pipeline import fingerprint
+
+    run_pipeline(bench.pipeline(), bench.store)
+    calls = []
+    digest = cache.fingerprint
+
+    def counted(identity):
+        calls.append(identity)
+        return digest(identity)
+
+    monkeypatch.setattr(cache, "fingerprint", counted)
+    monkeypatch.setattr(fingerprint, "fingerprint", counted)
+    run = run_pipeline(bench.pipeline(), bench.store)
+    assert len(run.cached) == 4
+    assert len(calls) == 2 * 4
+
+
 def test_changed_input_reruns_only_its_downstream(bench):
     run_pipeline(bench.pipeline(), bench.store)
     bench.source.write_text("alpha beta delta")
@@ -253,7 +295,7 @@ class Flaky:
 
     def __call__(self, ctx):
         self.attempts += 1
-        marker = ctx.checkpoint_path("progress")
+        marker = ctx.checkpoint_dir / "progress.json"
         if marker.exists():
             self.resumed_from = json.loads(marker.read_text())["done"]
         else:
@@ -288,7 +330,7 @@ def test_checkpoint_cleared_when_identity_changes(bench):
     flaky = Flaky()
     with pytest.raises(RuntimeError, match="crash"):
         run_pipeline(_flaky_pipeline(flaky), bench.store)
-    # same stage name, different params: the stale ledger must not leak
+    # same stage name, different params: the stale checkpoint must not leak
     run = run_pipeline(
         _flaky_pipeline(flaky, params={"v": 2}), bench.store
     )
