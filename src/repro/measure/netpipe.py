@@ -74,13 +74,18 @@ def _one_way_time(cluster: ClusterSpec, size: float) -> float:
 
     # Frames in sender order: frame 0 is posted last, after its overhead.
     # Each leaves the sender a whole frame time after the one before, so
-    # the receiver serves them in the same order.
+    # the receiver serves them in the same order.  Frames 1..n-1 are
+    # posted at t=0, where ``max(0, sent)`` is ``sent`` and the arrival's
+    # ``0 + (sent - 0)`` is ``sent`` bit for bit.
     sent = received = 0.0
-    for post in [0.0] * (frames - 1) + [nic.per_message_overhead_s]:
-        sent = max(post, sent) + frame_link_time
-        arrival = (post + (sent - post)) + forwarding
-        received = max(arrival, received) + frame_link_time
-    return received
+    for _ in range(frames - 1):
+        sent += frame_link_time
+        arrival = sent + forwarding
+        received = (arrival if arrival > received else received) + frame_link_time
+    post = nic.per_message_overhead_s
+    sent = max(post, sent) + frame_link_time
+    arrival = (post + (sent - post)) + forwarding
+    return max(arrival, received) + frame_link_time
 
 
 def run_netpipe(

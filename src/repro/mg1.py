@@ -108,6 +108,27 @@ def mg1_mean_wait(
         value — the predictor convention, which always yields a finite
         wait; pair with :func:`mg1_saturated` to surface the clamp.
     """
+    if (
+        rho_max is not None
+        and rho_max < 1.0
+        and isinstance(arrival_rate, float)
+        and isinstance(mean_service, float)
+        and isinstance(second_moment, float)
+    ):
+        # the scalar fixed point's path: the array branch's IEEE
+        # operations on plain floats (1 - rho > 0, so no division by zero)
+        lam_f, y_f, m2_f = (
+            float(arrival_rate),
+            float(mean_service),
+            float(second_moment),
+        )
+        if lam_f < 0 or y_f < 0 or m2_f < 0:
+            raise ValueError(
+                "rates, service times and moments must be non-negative"
+            )
+        rho_f = lam_f * y_f
+        rho_f = rho_max if rho_f > rho_max else rho_f  # np.minimum keeps NaN
+        return lam_f * m2_f / (2.0 * (1.0 - rho_f))
     lam = np.asarray(arrival_rate, dtype=np.float64)
     y = np.asarray(mean_service, dtype=np.float64)
     m2 = np.asarray(second_moment, dtype=np.float64)

@@ -78,7 +78,6 @@ def _characterize_stage(ctx: StageContext) -> Mapping[str, Any]:
         program,
         class_name=p.get("class_name"),
         repetitions=p["repetitions"],
-        baseline_checkpoint=ctx.checkpoint_dir,
     )
     return {ctx.stage.outputs[0]: model_inputs_to_dict(inputs)}
 
@@ -167,7 +166,6 @@ def _ext_modern_stage(ctx: StageContext) -> Mapping[str, Any]:
         program,
         class_name=p["baseline_class"],
         repetitions=p["repetitions"],
-        baseline_checkpoint=ctx.checkpoint_dir,
     )
     model = HybridProgramModel(program=program, inputs=inputs)
     errs = []

@@ -16,22 +16,17 @@ file changed, which param changed, which upstream artifact changed)
 derived by diffing the current identity against the stage's last
 recorded execution.
 
-Stage checkpoints: each execution gets a private directory keyed by the
-stage's fingerprint; resumable campaigns (:func:`repro.core.inputs.
-characterize` with ``baseline_checkpoint``, :func:`repro.resilience.
-pipeline.evaluate_space_checkpointed`) checkpoint into it, so a crashed
-run resumes mid-stage.  The directory is wiped whenever the stage's
-identity changes and after success.  The wipe is what keeps a stale
-campaign from resuming into a new one: a campaign's unit identities name
-its simulator, params and options, but not the content of the stage's
-declared input files, so an edited input would otherwise resume the
-units measured before the edit.
+Resume is at stage grain: every executed stage's outputs land in the
+content-addressed store as soon as it succeeds, so a crashed or
+interrupted run resumes at the first stage missing from the store.  A
+stage gets no checkpoint directory; long standalone campaigns keep
+per-point resume through ``repro characterize --checkpoint`` and
+:func:`repro.workflow.recommend`'s ``checkpoint_dir``.
 """
 
 from __future__ import annotations
 
 import pathlib
-import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -84,31 +79,6 @@ class StageStatus:
     fingerprint: str | None = None
 
 
-def _checkpoint_dir(store: ArtifactStore, stage: Stage) -> pathlib.Path:
-    return store.directory / "checkpoints" / stage.name
-
-
-def _prepare_checkpoint_dir(
-    store: ArtifactStore, stage: Stage, fingerprint: str
-) -> pathlib.Path:
-    """The stage's checkpoint dir, wiped if it belongs to another identity."""
-    directory = _checkpoint_dir(store, stage)
-    marker = directory / ".identity"
-    try:
-        previous = marker.read_text(encoding="utf-8").strip()
-    except OSError:
-        previous = None
-    if previous != fingerprint and directory.exists():
-        shutil.rmtree(directory, ignore_errors=True)
-    directory.mkdir(parents=True, exist_ok=True)
-    marker.write_text(fingerprint + "\n", encoding="utf-8")
-    return directory
-
-
-def _clear_checkpoint_dir(store: ArtifactStore, stage: Stage) -> None:
-    shutil.rmtree(_checkpoint_dir(store, stage), ignore_errors=True)
-
-
 def _execute_stage(
     stage: Stage,
     identity: dict[str, Any],
@@ -118,14 +88,12 @@ def _execute_stage(
     artifacts: Mapping[str, Any],
 ) -> tuple[StoreEntry, float]:
     """Run one stage's callable and persist its outputs."""
-    checkpoint_dir = _prepare_checkpoint_dir(store, stage, fingerprint)
     stage_workspace = workspace / stage.name
     stage_workspace.mkdir(parents=True, exist_ok=True)
     context = StageContext(
         stage=stage,
         workspace=stage_workspace,
         artifacts=dict(artifacts),
-        checkpoint_dir=checkpoint_dir,
     )
     started = time.perf_counter()
     with obs.span("pipeline_stage", stage=stage.name, fingerprint=fingerprint):
@@ -138,7 +106,6 @@ def _execute_stage(
         )
     entry = store.put(identity, outputs)
     store.record_latest(stage.name, identity)
-    _clear_checkpoint_dir(store, stage)
     return entry, elapsed
 
 
@@ -333,17 +300,14 @@ def pipeline_status(
             upstream.update(digests[dep])
         identity = stage_identity(stage, upstream)
         fingerprint = identity_digest(identity)
-        if store.contains(identity):
-            entry = store.get(identity)
-            if entry is not None:
-                verdicts[name] = "fresh"
-                digests[name] = entry.output_digests
-                statuses.append(
-                    StageStatus(
-                        name=name, state="fresh", fingerprint=fingerprint
-                    )
-                )
-                continue
+        entry = store.get(identity)
+        if entry is not None:
+            verdicts[name] = "fresh"
+            digests[name] = entry.output_digests
+            statuses.append(
+                StageStatus(name=name, state="fresh", fingerprint=fingerprint)
+            )
+            continue
         previous = store.latest_identity(name)
         if previous is None:
             verdicts[name] = "missing"

@@ -32,24 +32,16 @@ class StageContext:
     """What a stage's callable sees while it runs.
 
     The runner constructs one per execution: the stage's params, the
-    payloads of every upstream artifact the stage declared a dep on, a
-    private checkpoint directory for resumable campaigns, and the run
-    workspace (for scratch only — durable outputs must be *returned*,
-    not written ad hoc, so the store stays the source of truth).
-
-    Files under ``checkpoint_dir`` survive a crashed or interrupted run
-    and are handed back on the next execution of the *same* stage
-    fingerprint, so long campaigns (the baseline sweep, blocked space
-    evaluations) checkpoint into it and resume mid-stage through the
-    DAG.  The runner clears the directory when the stage's identity
-    changes (a stale campaign must not resume into a new one) and after
-    the stage completes.
+    payloads of every upstream artifact the stage declared a dep on, and
+    the run workspace (for scratch only — durable outputs must be
+    *returned*, not written ad hoc, so the store stays the source of
+    truth).  A crashed run resumes at stage grain: the next run re-executes
+    the first stage missing from the store, from its start.
     """
 
     stage: "Stage"
     workspace: pathlib.Path
     artifacts: Mapping[str, Any]
-    checkpoint_dir: pathlib.Path
 
     @property
     def params(self) -> Mapping[str, Any]:

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.machines.spec import ClusterSpec, Configuration
 from repro.simulate.cpu import ComputeDemand
-from repro.simulate.queueing import fifo_sort, lindley_wait_sums, row_blocks
+from repro.simulate.queueing import _lindley_sorted, fifo_sort, row_blocks
 
 #: Request batches per thread per iteration.  Large enough to interleave
 #: threads realistically, small enough to keep arrays tiny.
@@ -100,20 +100,31 @@ def resolve_memory(
         index = np.arange(block.start, block.stop)
         fractions = arrival_fractions[index % n, index // n]  # (R, c*B)
 
-        batch_bytes = np.repeat(dram_rows[block] / BATCHES, BATCHES, axis=-1)
+        # per-thread batch costs are computed once per thread, then
+        # repeated over its batches: (R, c) -> (R, c*B)
+        batch_bytes = dram_rows[block] / BATCHES
         arrivals = fractions * np.repeat(span_rows[block], BATCHES, axis=-1)
 
         # bandwidth term occupies the controller; latency term is exposed
         # at the core but pipelined through the controller.
         bw_service = batch_bytes / bandwidth
         lat_exposure = batch_bytes * lines_per_byte * latency_per_line
+        # core-visible service: bandwidth vs latency exposure, whichever
+        # binds
+        core_cost = np.maximum(bw_service, lat_exposure)
 
-        _, sorted_arrivals, sorted_service = fifo_sort(arrivals, bw_service)
-        total_wait[block] = lindley_wait_sums(sorted_arrivals, sorted_service)
-        # per-thread core-visible service: bandwidth vs latency exposure,
-        # whichever binds, summed over the thread's batches
-        core_cost = np.maximum(bw_service, lat_exposure)  # (R, c*B)
-        service[block] = core_cost.reshape(-1, c, BATCHES).sum(axis=-1)
+        _, sorted_arrivals, sorted_service = fifo_sort(
+            arrivals, np.repeat(bw_service, BATCHES, axis=-1)
+        )
+        total_wait[block] = _lindley_sorted(
+            sorted_arrivals, sorted_service
+        ).sum(axis=-1)
+        # per-thread service: summed over the thread's batches
+        service[block] = (
+            np.repeat(core_cost, BATCHES, axis=-1)
+            .reshape(-1, c, BATCHES)
+            .sum(axis=-1)
+        )
     service = service.reshape(s_iters, n, c)
 
     # Real contention interleaves at cache-line granularity, so every

@@ -39,7 +39,12 @@ import numpy as np
 
 from repro.machines.spec import ClusterSpec, Configuration
 from repro.simulate.noise import NoiseModel
-from repro.simulate.queueing import fifo_sort, lindley_waits, row_blocks
+from repro.simulate.queueing import (
+    _lindley_sorted,
+    fifo_sort,
+    lindley_waits,
+    row_blocks,
+)
 from repro.workloads.base import HybridProgram
 
 #: Fraction of the compute burst during which sends are posted (the tail).
@@ -185,7 +190,7 @@ def resolve_network(
             arr_q = egress_flat[:, gather]  # (R, P, K)
             svc_q = service_flat[:, gather]
             _, sorted_arr, sorted_svc = fifo_sort(arr_q, svc_q)
-            waits = lindley_waits(sorted_arr, sorted_svc)
+            waits = _lindley_sorted(sorted_arr, sorted_svc)
             completions = sorted_arr + waits + sorted_svc
             receive_complete[block, ports] = completions.max(axis=-1)
             port_wait[block, ports] = waits.sum(axis=-1)

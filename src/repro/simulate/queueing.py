@@ -20,6 +20,14 @@ The guide's advice ("vectorize for loops", "beware of cache effects") is
 what makes a ~900-run validation campaign take seconds instead of hours.
 Because rows are independent, callers resolve them in cache-sized row
 blocks (:func:`row_blocks`) rather than one whole-run pass.
+
+One private kernel, ``_lindley_sorted``, does the arithmetic for every
+queue: it takes rows already in FIFO order and returns the full wait
+matrix, computed in place in one buffer whose column 0 is the first
+request's zero wait.  :func:`lindley_waits` checks the ordering and calls
+it; :func:`lindley_wait_sums` sums its rows.  The simulator's memory
+controller and switch ports call it directly on :func:`fifo_sort` output,
+which is ascending by construction, so they skip the ordering scan.
 """
 
 from __future__ import annotations
@@ -67,31 +75,34 @@ def row_blocks(rows: int, width: int) -> Iterator[slice]:
         yield slice(start, min(start + step, rows))
 
 
-def _lindley_cumulative(
-    arrivals: np.ndarray, services: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums ``C`` and running minima for the closed-form recursion.
+def _lindley_sorted(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
+    """The wait matrix of rows already in FIFO order: the one queue kernel.
 
     ``W[k] = C[k] - min(0, running_min(C)[k])`` for ``k >= 1``; the first
-    request of every row never waits.  Rows are independent queues; any
-    leading batch axes are flattened into rows, so the per-row arithmetic
-    (and therefore the bit pattern of every wait) is identical no matter
-    how many rows are stacked in front.
+    request of every row never waits.  The gaps are written straight into
+    columns ``1..`` of the result, whose column 0 is the first request's
+    zero wait, and every later step runs in place there: one subtract,
+    one cumsum, one accumulate, with a single extra temporary.  Rows are
+    independent queues; any leading batch axes index rows, so the per-row
+    arithmetic (and therefore the bit pattern of every wait) is identical
+    no matter how many rows are stacked in front.
 
-    Also validates arrival ordering (on the gaps it needs anyway) and
-    reuses the gap buffer for the scan — the kernel sits on the hot path
-    of every simulated run, so it is one diff, one cumsum, one
-    accumulate, with no extra temporaries.
+    Ordering is not checked: :func:`fifo_sort` output is ascending by
+    construction, and :func:`lindley_waits` checks everything else.
     """
-    gaps = np.diff(arrivals, axis=-1)
-    if np.any(gaps < -1e-12):
-        raise ValueError("each arrival row must be sorted ascending")
-    # X[k] = S[k-1] - A_gap[k]; first request never waits.
-    np.subtract(services[..., :-1], gaps, out=gaps)
-    c = np.cumsum(gaps, axis=-1, out=gaps)
+    waits = np.empty(arrivals.shape)
+    waits[..., 0] = 0.0
+    c = waits[..., 1:]
+    # X[k] = S[k-1] - A_gap[k]
+    np.subtract(arrivals[..., 1:], arrivals[..., :-1], out=c)
+    np.subtract(services[..., :-1], c, out=c)
+    np.cumsum(c, axis=-1, out=c)
     running_min = np.minimum(c, 0.0)
     np.minimum.accumulate(running_min, axis=-1, out=running_min)
-    return c, running_min
+    np.subtract(c, running_min, out=c)
+    # guard fp noise: waits are non-negative by construction
+    np.maximum(c, 0.0, out=c)
+    return waits
 
 
 def lindley_waits(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
@@ -119,40 +130,19 @@ def lindley_waits(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
         return np.zeros_like(arrivals)
     if arrivals.ndim == 0:
         raise ValueError("arrivals must have a request axis")
-
-    c, running_min = _lindley_cumulative(arrivals, services)
-    np.subtract(c, running_min, out=c)
-    # guard fp noise: waits are non-negative by construction
-    np.maximum(c, 0.0, out=c)
-    waits = np.zeros_like(arrivals)
-    waits[..., 1:] = c
-    return waits
+    if np.any(np.diff(arrivals, axis=-1) < -1e-12):
+        raise ValueError("each arrival row must be sorted ascending")
+    return _lindley_sorted(arrivals, services)
 
 
 def lindley_wait_sums(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     """Per-row total waiting time — ``lindley_waits(...).sum(axis=-1)``.
 
-    The memory-controller queue only consumes the *total* wait of each
-    (iteration, node) row (it is re-attributed to threads by traffic
-    share), so the full wait matrix never needs to materialize.  The sum
-    is taken over the same per-element values the full recursion yields
-    (each ``max(0, C[k] - running_min)`` term), keeping results
-    bit-identical to summing :func:`lindley_waits` along the last axis.
+    The memory-controller queue consumes only these totals; it sums the
+    kernel's wait matrix the same way, leading zero included, so its
+    pairwise-sum order (and every bit) matches this function.
     """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    services = np.asarray(services, dtype=np.float64)
-    if arrivals.shape != services.shape:
-        raise ValueError("arrivals and services must have identical shapes")
-    if arrivals.size == 0 or arrivals.shape[-1] < 2:
-        return np.zeros(arrivals.shape[:-1], dtype=np.float64)
-    c, running_min = _lindley_cumulative(arrivals, services)
-    np.subtract(c, running_min, out=c)
-    np.maximum(c, 0.0, out=c)
-    # mirror lindley_waits(...).sum(axis=-1): the leading zero of every
-    # row participates in the pairwise sum there, so keep it here too
-    full = np.zeros(arrivals.shape, dtype=np.float64)
-    full[..., 1:] = c
-    return full.sum(axis=-1)
+    return lindley_waits(arrivals, services).sum(axis=-1)
 
 
 def lindley_waits_loop(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:

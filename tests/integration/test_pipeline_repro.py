@@ -112,6 +112,26 @@ def test_edit_one_spec_reruns_only_downstream_bit_identical(
     assert _artifact_bytes(rebuilt) == _artifact_bytes(cold)
 
 
+def test_cold_run_resumes_at_stage_grain_and_repeats_bit_for_bit(
+    sandbox_root, tmp_path
+):
+    """A cold run keeps nothing but store entries: no ``checkpoints/``
+    directory (a crashed run resumes at the first stage missing from the
+    store), and a second cold run reproduces every stage's output
+    digests."""
+    pipeline = paper_pipeline()
+    first_store = ArtifactStore(tmp_path / "first")
+    first = run_pipeline(pipeline, first_store)
+    assert not (first_store.directory / "checkpoints").exists()
+    second = run_pipeline(pipeline, ArtifactStore(tmp_path / "second"))
+
+    def digests(run):
+        return {r.name: dict(r.output_digests) for r in run.reports}
+
+    assert len(first.reports) == len(pipeline.order) == 8
+    assert digests(first) == digests(second)
+
+
 def test_repro_summary_matches_paper_structure(sandbox_root, tmp_path):
     """The default pipeline's artifacts carry the paper's headline
     numbers: validation errors inside the paper's bound, the 216-config

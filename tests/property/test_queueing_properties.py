@@ -1,12 +1,16 @@
 """Property-based tests of the Lindley queueing machinery."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.mg1 import RHO_MAX
 from repro.simulate.queueing import (
+    _lindley_sorted,
     fifo_sort,
+    lindley_wait_sums,
     lindley_waits,
     lindley_waits_loop,
     mg1_mean_wait,
@@ -150,3 +154,96 @@ def test_fifo_sort_equals_stable_argsort_bytes(rows):
         got_services.tobytes()
         == np.take_along_axis(services, order, axis=-1).tobytes()
     )
+
+
+def _padded_waits(arrivals, services):
+    """The Lindley pass the sorted-row kernel replaced, copied inline:
+    gaps by ``np.diff``, waits computed on them, then zero-padded into a
+    fresh full-width matrix."""
+    gaps = np.diff(arrivals, axis=-1)
+    np.subtract(services[..., :-1], gaps, out=gaps)
+    c = np.cumsum(gaps, axis=-1, out=gaps)
+    running_min = np.minimum(c, 0.0)
+    np.minimum.accumulate(running_min, axis=-1, out=running_min)
+    np.subtract(c, running_min, out=c)
+    np.maximum(c, 0.0, out=c)
+    full = np.zeros(arrivals.shape, dtype=np.float64)
+    full[..., 1:] = c
+    return full
+
+
+def _random_service_rows():
+    """(arrivals, services) of shape (rows, width), services random."""
+    return st.tuples(st.integers(1, 4), st.integers(1, 48)).flatmap(
+        lambda shape: st.tuples(
+            hnp.arrays(np.float64, shape, elements=arrival_values),
+            hnp.arrays(
+                np.float64,
+                shape,
+                elements=st.floats(0.0, 1e3, allow_nan=False),
+            ),
+        )
+    )
+
+
+@given(st.one_of(_tied_rows(), _random_service_rows()))
+@example(  # an all-tied row takes fifo_sort's stable fallback
+    (np.zeros((2, 16)), np.arange(32, dtype=np.float64).reshape(2, 16))
+)
+@settings(max_examples=300)
+def test_sorted_kernel_on_fifo_sort_output_is_bit_identical(rows):
+    """The kernel the simulator calls on ``fifo_sort`` output (no ordering
+    scan) equals ``lindley_waits``, ``lindley_wait_sums`` and the
+    zero-pad-and-copy pass it replaced, byte for byte."""
+    _, arrivals, services = fifo_sort(*rows)
+    waits = _lindley_sorted(arrivals, services)
+    reference = _padded_waits(arrivals, services)
+    assert waits.tobytes() == reference.tobytes()
+    assert waits.tobytes() == lindley_waits(arrivals, services).tobytes()
+    assert (
+        waits.sum(axis=-1).tobytes()
+        == lindley_wait_sums(arrivals, services).tobytes()
+    )
+    assert (
+        lindley_wait_sums(arrivals, services).tobytes()
+        == reference.sum(axis=-1).tobytes()
+    )
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+mg1_inputs = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(mg1_inputs, st.floats(0.0, 10.0, allow_nan=False), mg1_inputs)
+@example(1.0, 1.0, 2.0)  # rho exactly 1: clamped to RHO_MAX
+@example(0.5, 3.0, 18.0)  # saturated well past the clamp
+@example(0.0, 0.0, 0.0)
+@settings(max_examples=300)
+def test_mg1_float_branch_equals_the_array_path(lam, y, m2):
+    """Plain-float and ``np.float64`` inputs take the pure-float branch;
+    0-d arrays take the array path.  Both give the same bits."""
+    array_path = mg1_mean_wait(
+        np.asarray(lam), np.asarray(y), np.asarray(m2), rho_max=RHO_MAX
+    )
+    for cast in (float, np.float64):
+        got = mg1_mean_wait(cast(lam), cast(y), cast(m2), rho_max=RHO_MAX)
+        assert type(got) is float
+        assert _bits(got) == _bits(array_path)
+
+
+@pytest.mark.parametrize("cast", [float, np.float64])
+def test_mg1_float_branch_rejects_negative_inputs(cast):
+    for args in ((-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)):
+        with pytest.raises(ValueError, match="non-negative"):
+            mg1_mean_wait(*map(cast, args), rho_max=RHO_MAX)
+
+
+@pytest.mark.parametrize("cast", [float, np.float64])
+def test_mg1_theory_convention_still_diverges_for_floats(cast):
+    """``rho_max=None`` keeps the array path: ``inf`` once saturated."""
+    assert mg1_mean_wait(cast(1.0), cast(1.0), cast(2.0)) == float("inf")
+    assert mg1_mean_wait(cast(2.0), cast(1.0), cast(2.0)) == float("inf")
+    assert np.isfinite(mg1_mean_wait(cast(0.5), cast(1.0), cast(2.0)))

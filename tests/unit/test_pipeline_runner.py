@@ -1,9 +1,7 @@
 """Incremental pipeline execution: minimal recomputation, early cutoff,
-checkpointed resume, status reasons, and stage fan-out."""
+status reasons, and stage fan-out."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -279,71 +277,6 @@ def test_stage_runs_counters(bench):
         assert counters["pipeline.runs"] == 2
     finally:
         obs.disable()
-
-
-# ----------------------------------------------------------------------
-# checkpointed stages
-# ----------------------------------------------------------------------
-
-
-class Flaky:
-    """A stage body that dies once, then resumes from its checkpoint."""
-
-    def __init__(self):
-        self.attempts = 0
-        self.resumed_from = None
-
-    def __call__(self, ctx):
-        self.attempts += 1
-        marker = ctx.checkpoint_dir / "progress.json"
-        if marker.exists():
-            self.resumed_from = json.loads(marker.read_text())["done"]
-        else:
-            marker.write_text(json.dumps({"done": 5}))
-        if self.attempts == 1:
-            raise RuntimeError("crash mid-campaign")
-        return {"out": {"resumed_from": self.resumed_from}}
-
-
-def _flaky_pipeline(flaky, params=None):
-    return Pipeline(
-        [
-            Stage(
-                name="campaign",
-                run=flaky,
-                outputs=("out",),
-                params=params or {},
-            )
-        ]
-    )
-
-
-def test_checkpoint_survives_a_crash_and_resumes(bench):
-    flaky = Flaky()
-    with pytest.raises(RuntimeError, match="crash"):
-        run_pipeline(_flaky_pipeline(flaky), bench.store)
-    run = run_pipeline(_flaky_pipeline(flaky), bench.store)
-    assert run.artifacts["out"] == {"resumed_from": 5}
-
-
-def test_checkpoint_cleared_when_identity_changes(bench):
-    flaky = Flaky()
-    with pytest.raises(RuntimeError, match="crash"):
-        run_pipeline(_flaky_pipeline(flaky), bench.store)
-    # same stage name, different params: the stale checkpoint must not leak
-    run = run_pipeline(
-        _flaky_pipeline(flaky, params={"v": 2}), bench.store
-    )
-    assert run.artifacts["out"] == {"resumed_from": None}
-
-
-def test_checkpoint_cleared_after_success(bench):
-    flaky = Flaky()
-    with pytest.raises(RuntimeError, match="crash"):
-        run_pipeline(_flaky_pipeline(flaky), bench.store)
-    run_pipeline(_flaky_pipeline(flaky), bench.store)
-    checkpoints = bench.store.directory / "checkpoints" / "campaign"
-    assert not checkpoints.exists()
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,9 @@ docs/PIPELINE.md makes:
    (its outputs are unchanged, so early cutoff revalidates the rest);
 3. a cold rebuild in a fresh store produces bit-identical artifacts;
 
+that the cold run leaves no ``checkpoints/`` directory in the store (a
+crashed pipeline resumes at stage grain, from the store alone);
+
 and, at the end, that no stage imported scipy: numpy is the package's
 only runtime dependency.
 
@@ -72,6 +75,10 @@ def main() -> int:
         ok &= _check(
             set(cold.executed) == set(pipeline.order),
             f"all {len(pipeline.order)} stages executed",
+        )
+        ok &= _check(
+            not (store.directory / "checkpoints").exists(),
+            "no checkpoints/ directory in the store (stage-grain resume)",
         )
 
         original = SPEC.read_bytes()
