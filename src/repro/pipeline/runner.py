@@ -88,11 +88,9 @@ def _execute_stage(
     artifacts: Mapping[str, Any],
 ) -> tuple[StoreEntry, float]:
     """Run one stage's callable and persist its outputs."""
-    stage_workspace = workspace / stage.name
-    stage_workspace.mkdir(parents=True, exist_ok=True)
     context = StageContext(
         stage=stage,
-        workspace=stage_workspace,
+        workspace_path=workspace / stage.name,
         artifacts=dict(artifacts),
     )
     started = time.perf_counter()

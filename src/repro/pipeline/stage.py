@@ -16,6 +16,7 @@ from __future__ import annotations
 import pathlib
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
 #: Stage and artifact names: filesystem- and metric-label-safe tokens.
@@ -33,15 +34,24 @@ class StageContext:
 
     The runner constructs one per execution: the stage's params, the
     payloads of every upstream artifact the stage declared a dep on, and
-    the run workspace (for scratch only — durable outputs must be
+    the stage's workspace (for scratch only — durable outputs must be
     *returned*, not written ad hoc, so the store stays the source of
-    truth).  A crashed run resumes at stage grain: the next run re-executes
-    the first stage missing from the store, from its start.
+    truth).  The workspace directory is created at ``workspace_path``
+    on the first access of :attr:`workspace`, so a stage that never asks
+    for it leaves nothing on disk.  A crashed run resumes at stage grain:
+    the next run re-executes the first stage missing from the store, from
+    its start.
     """
 
     stage: "Stage"
-    workspace: pathlib.Path
+    workspace_path: pathlib.Path
     artifacts: Mapping[str, Any]
+
+    @cached_property
+    def workspace(self) -> pathlib.Path:
+        """The stage's scratch directory, created on first access."""
+        self.workspace_path.mkdir(parents=True, exist_ok=True)
+        return self.workspace_path
 
     @property
     def params(self) -> Mapping[str, Any]:

@@ -34,7 +34,8 @@ from repro.simulate.cpu import ComputeDemand
 from repro.simulate.queueing import _lindley_sorted, fifo_sort, row_blocks
 
 #: Request batches per thread per iteration.  Large enough to interleave
-#: threads realistically, small enough to keep arrays tiny.
+#: threads realistically, small enough to keep arrays tiny.  A power of
+#: two, so a thread's summed batch costs are one product (resolve_memory).
 BATCHES = 8
 
 
@@ -119,12 +120,10 @@ def resolve_memory(
         total_wait[block] = _lindley_sorted(
             sorted_arrivals, sorted_service
         ).sum(axis=-1)
-        # per-thread service: summed over the thread's batches
-        service[block] = (
-            np.repeat(core_cost, BATCHES, axis=-1)
-            .reshape(-1, c, BATCHES)
-            .sum(axis=-1)
-        )
+        # per-thread service, its BATCHES equal batch costs summed: the
+        # product is that sum bit for bit (pairwise addition of a power
+        # of two of equal doubles only ever doubles)
+        service[block] = core_cost * BATCHES
     service = service.reshape(s_iters, n, c)
 
     # Real contention interleaves at cache-line granularity, so every

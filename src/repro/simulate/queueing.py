@@ -27,7 +27,8 @@ matrix, computed in place in one buffer whose column 0 is the first
 request's zero wait.  :func:`lindley_waits` checks the ordering and calls
 it; :func:`lindley_wait_sums` sums its rows.  The simulator's memory
 controller and switch ports call it directly on :func:`fifo_sort` output,
-which is ascending by construction, so they skip the ordering scan.
+and its NIC queues on posting times built ascending, so they skip the
+ordering scan.
 """
 
 from __future__ import annotations
@@ -87,8 +88,10 @@ def _lindley_sorted(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     arithmetic (and therefore the bit pattern of every wait) is identical
     no matter how many rows are stacked in front.
 
-    Ordering is not checked: :func:`fifo_sort` output is ascending by
-    construction, and :func:`lindley_waits` checks everything else.
+    Ordering is not checked: :func:`fifo_sort` output and the NIC posts of
+    :func:`repro.simulate.network.resolve_network` (sorted offsets times a
+    non-negative compute end) are ascending by construction, and
+    :func:`lindley_waits` checks everything else.
     """
     waits = np.empty(arrivals.shape)
     waits[..., 0] = 0.0

@@ -117,12 +117,13 @@ def test_cold_run_resumes_at_stage_grain_and_repeats_bit_for_bit(
 ):
     """A cold run keeps nothing but store entries: no ``checkpoints/``
     directory (a crashed run resumes at the first stage missing from the
-    store), and a second cold run reproduces every stage's output
-    digests."""
+    store), no ``workspace/`` (no shipped stage asks for scratch space),
+    and a second cold run reproduces every stage's output digests."""
     pipeline = paper_pipeline()
     first_store = ArtifactStore(tmp_path / "first")
     first = run_pipeline(pipeline, first_store)
     assert not (first_store.directory / "checkpoints").exists()
+    assert not (first_store.directory / "workspace").exists()
     second = run_pipeline(pipeline, ArtifactStore(tmp_path / "second"))
 
     def digests(run):

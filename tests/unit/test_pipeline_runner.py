@@ -117,6 +117,28 @@ def test_warm_run_is_fully_cached(bench):
     assert run.artifacts["combined"] == ["alpha", "beta", "gamma"]
 
 
+def test_workspace_is_made_on_first_access_only(tmp_path):
+    """A stage that never touches ``ctx.workspace`` leaves no directory;
+    one that does gets its own writable directory under the store."""
+
+    def scratch(ctx):
+        note = ctx.workspace / "note.txt"
+        note.write_text("scratch")
+        return {"scratch": [str(ctx.workspace), note.read_text()]}
+
+    store = ArtifactStore(tmp_path / "store")
+    run = run_pipeline(
+        Pipeline([
+            Stage(name="plain", run=lambda ctx: {"plain": 1}, outputs=("plain",)),
+            Stage(name="scratch", run=scratch, outputs=("scratch",)),
+        ]),
+        store,
+    )
+    workspace = store.directory / "workspace"
+    assert run.artifacts["scratch"] == [str(workspace / "scratch"), "scratch"]
+    assert sorted(p.name for p in workspace.iterdir()) == ["scratch"]
+
+
 def test_tuple_params_hit_their_own_entry(tmp_path):
     # params read back from the entry as lists; the canonical JSON of
     # the identity is what must match

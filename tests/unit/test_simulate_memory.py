@@ -181,3 +181,23 @@ def test_zero_compute_thread_takes_the_stable_fallback(monkeypatch):
 
 def test_untied_arrivals_skip_the_fallback(monkeypatch):
     assert _resolve_both(monkeypatch, zero_thread=False) == []
+
+
+def test_per_thread_service_product_equals_the_batch_sum():
+    """``resolve_memory`` takes a thread's service as ``core_cost *
+    BATCHES`` instead of summing ``BATCHES`` repeated batch costs.  NumPy
+    adds 8 (or any power of two) equal doubles pairwise, and each step
+    only doubles, so the two agree bit for bit; a BATCHES that is not a
+    power of two would round differently and must fail here."""
+    assert BATCHES > 0 and BATCHES & (BATCHES - 1) == 0
+    rng = np.random.default_rng(0)
+    tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    cost = np.concatenate([
+        rng.uniform(0.0, 1e-3, 400),
+        rng.uniform(0.0, tiny, 100),  # subnormal
+        huge / rng.uniform(1.0, 16.0, 100),  # some overflow when multiplied
+        [0.0, 5e-324, np.inf, np.nan],
+    ]).reshape(-1, 4)
+    with np.errstate(over="ignore"):
+        summed = np.repeat(cost, BATCHES, axis=-1).reshape(-1, 4, BATCHES).sum(axis=-1)
+        assert (cost * BATCHES).tobytes() == summed.tobytes()

@@ -104,3 +104,42 @@ def test_wire_time_scales_with_volume():
     n8 = network_for(xeon, config(8, 1, 1.8)).wire_time_s.sum() / 8
     # per-process volume shrinks with n (surface decomposition)
     assert n8 < n2
+
+
+@pytest.mark.parametrize(
+    "cluster, cfg, compute_end",
+    [
+        (xeon_cluster(), config(4, 8, 1.8), None),
+        (arm_cluster(), config(8, 4, 1.4), "random"),
+        (xeon_cluster(), config(3, 1, 1.2), "zero"),
+    ],
+)
+def test_nic_posts_are_sorted_and_skip_only_the_ordering_scan(
+    cluster, cfg, compute_end, monkeypatch
+):
+    """Every row the kernel gets is non-decreasing (the NIC posts are
+    sorted offsets times a non-negative compute end, with no ordering
+    check), and its waits are byte-equal to the checked lindley_waits."""
+    from repro.simulate import network, queueing
+
+    s_iters = sp_program().iterations("W")
+    if compute_end == "random":
+        compute_end = np.random.default_rng(3).uniform(0.0, 2.0, (s_iters, cfg.nodes))
+    elif compute_end == "zero":
+        compute_end = np.zeros((s_iters, cfg.nodes))
+    calls = []
+    kernel = network._lindley_sorted
+
+    def spy(arrivals, services):
+        waits = kernel(arrivals, services)
+        calls.append((arrivals.copy(), services.copy(), waits.copy()))
+        return waits
+
+    monkeypatch.setattr(network, "_lindley_sorted", spy)
+    network_for(cluster, cfg, compute_end=compute_end)
+    # NIC queues are (R*n, M) matrices, switch ports (R, P, K) stacks
+    assert any(arrivals.ndim == 2 for arrivals, _, _ in calls)
+    for arrivals, services, waits in calls:
+        assert np.all(np.diff(arrivals, axis=-1) >= 0)
+        checked = queueing.lindley_waits(arrivals, services)
+        assert waits.tobytes() == checked.tobytes()
