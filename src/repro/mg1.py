@@ -64,9 +64,13 @@ def exponential_second_moment(mean_service: FloatLike) -> FloatLike:
 
     This is the convention the paper's Eq. 5 corresponds to (see the
     module docstring); the model call sites use it so the P-K form below
-    reproduces the paper's ``λ·ŷ²/(1−ρ)`` exactly.
+    reproduces the paper's ``λ·ŷ²/(1−ρ)`` exactly.  The square is a
+    product, not ``**``: NumPy squares an array by multiplying, while a
+    float's ``**`` goes through the C library's ``pow``, which can land
+    one ulp off ``ŷ·ŷ`` (it does at ``ŷ = 6e-5``); scalar and array
+    callers must get the same bits.
     """
-    return cast("FloatLike", 2.0 * mean_service**2)
+    return cast("FloatLike", 2.0 * (mean_service * mean_service))
 
 
 def mg1_utilization(arrival_rate: FloatLike, mean_service: FloatLike) -> FloatLike:

@@ -99,6 +99,18 @@ class TestHelpers:
             exponential_second_moment(np.array([1.0, 2.0])), [2.0, 8.0]
         )
 
+    def test_exponential_second_moment_scalar_and_array_agree(self):
+        """A float and an array get the same bits.  A float's ``** 2``
+        goes through the C library's pow, which with glibc lands one ulp
+        above ``y * y`` (the product NumPy squares an array by) at 6e-5
+        and at 3 of these 4,000 draws."""
+        y = 6.0 / 100000.0
+        ys = np.random.default_rng(7).uniform(1e-7, 1e-3, 4000)
+        ys = np.append(ys, y)
+        scalar = [exponential_second_moment(v) for v in ys.tolist()]
+        assert scalar == exponential_second_moment(ys).tolist()
+        assert scalar[-1] == 2.0 * (y * y)
+
     def test_utilization(self):
         assert mg1_utilization(2.0, 0.25) == 0.5
         np.testing.assert_allclose(
