@@ -10,10 +10,13 @@ HTTP/1.1 transport on loopback):
   the service silently multiplies engine load under fan-in.
 * **Load (recorded honestly, not gated):** closed-loop clients issue a
   mixed stream (repeated queries served by the response LRU, distinct
-  queries reaching the engine) over keep-alive connections; measured
-  req/s and p99 latency land in ``serve_throughput.json`` against the
-  ROADMAP's >= 1k req/s single-node target.  Smoke mode runs a shorter
-  stream so CI records real numbers without a multi-second soak.
+  queries reaching the engine) over keep-alive connections.  One such
+  run swings by a third on a shared host, so the study repeats it
+  ``LOAD_RUNS`` times, each against a fresh service; the median req/s
+  and latencies land in ``serve_throughput.json`` against the ROADMAP's
+  >= 1k req/s single-node target, with every run's figures and their
+  min/max beside them.  Smoke mode runs a shorter stream so CI records
+  real numbers without a multi-second soak.
 """
 
 import asyncio
@@ -36,6 +39,9 @@ COALESCE_FLOOR = 2
 
 #: Concurrent identical requests in the coalescing study.
 COALESCE_FANIN = 8
+
+#: Closed-loop load runs per study; the report records their median.
+LOAD_RUNS = 5
 
 
 def _query_body(nodes=(1, 2)) -> bytes:
@@ -168,13 +174,23 @@ def test_serve_throughput(write_artifact, write_report):
 
     async def run():
         coalesce = await _coalescing_study()
-        load = await _load_study(clients, per_client)
-        return coalesce, load
+        runs = [
+            await _load_study(clients, per_client) for _ in range(LOAD_RUNS)
+        ]
+        return coalesce, runs
 
     try:
-        coalesce, load = asyncio.run(run())
+        coalesce, runs = asyncio.run(run())
     finally:
         obs.disable()
+    load = {
+        key: statistics.median(r[key] for r in runs)
+        for key in ("rps", "p50_ms", "p99_ms")
+    }
+    spread = {
+        key: (min(r[key] for r in runs), max(r[key] for r in runs))
+        for key in ("rps", "p50_ms", "p99_ms", "engine_calls")
+    }
 
     write_artifact(
         "serve_throughput.txt",
@@ -184,13 +200,18 @@ def test_serve_throughput(write_artifact, write_report):
                 f"  coalescing: {coalesce['fanin']} concurrent identical "
                 f"requests -> {coalesce['engine_calls']} engine call(s), "
                 f"bit-identical: {coalesce['bit_identical']}",
-                f"  load: {load['requests']} requests over {clients} "
-                f"keep-alive connections in {load['wall_s']:.2f}s",
+                f"  load: {LOAD_RUNS} runs of {runs[0]['requests']} "
+                f"requests over {clients} keep-alive connections; "
+                "median (min..max) of the runs",
                 f"  throughput: {load['rps']:8.0f} req/s "
-                f"(target {TARGET_RPS:.0f})",
-                f"  latency: p50 {load['p50_ms']:.2f} ms, "
-                f"p99 {load['p99_ms']:.2f} ms",
-                f"  engine calls during load: {load['engine_calls']} "
+                f"({spread['rps'][0]:.0f}..{spread['rps'][1]:.0f}; "
+                f"target {TARGET_RPS:.0f})",
+                f"  latency: p50 {load['p50_ms']:.2f} ms "
+                f"({spread['p50_ms'][0]:.2f}..{spread['p50_ms'][1]:.2f}), "
+                f"p99 {load['p99_ms']:.2f} ms "
+                f"({spread['p99_ms'][0]:.2f}..{spread['p99_ms'][1]:.2f})",
+                f"  engine calls per load run: "
+                f"{spread['engine_calls'][0]}..{spread['engine_calls'][1]} "
                 "(caching tiers absorb the rest)",
             ]
         ),
@@ -204,6 +225,12 @@ def test_serve_throughput(write_artifact, write_report):
             "target_rps": (TARGET_RPS, "req/s"),
             "coalesce_fanin": (float(coalesce["fanin"]), "requests"),
             "coalesce_engine_calls": (float(coalesce["engine_calls"]), "calls"),
+        },
+        extra={
+            "load_runs": runs,
+            "load_spread": {
+                key: {"min": lo, "max": hi} for key, (lo, hi) in spread.items()
+            },
         },
     )
 

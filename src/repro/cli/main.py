@@ -263,15 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _pipeline_common(pr)
     pr.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run up to N independent stages concurrently (each stage's "
-        "sweeps still honor the global --cache-dir/--max-block-bytes)",
-    )
-    pr.add_argument(
         "--force",
         action="store_true",
         help="re-execute selected stages even when their entry exists "
@@ -289,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate -> Fig. 8 -> extensions) and print the summary report",
     )
     _pipeline_common(pp)
-    pp.add_argument("--jobs", "-j", type=int, default=1, metavar="N")
 
     p = sub.add_parser(
         "serve",
@@ -327,14 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="per-client burst capacity (default: max(1, client-rate))",
-    )
-    p.add_argument(
-        "--engine-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="size of the bounded thread pool engine evaluations run in "
-        "(default: 4); excess flights queue instead of growing threads",
     )
 
     # The real parser lives in repro.lint.cli; main() forwards to it
@@ -826,7 +808,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             pipeline,
             store,
             stages=args.stages,
-            workers=args.jobs,
             force=getattr(args, "force", False),
         )
     except PipelineError as exc:
@@ -893,7 +874,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.app import DEFAULT_ENGINE_WORKERS, run_server
+    from repro.serve.app import run_server
 
     # The service's warm tier is the only ResultCache on the global
     # --cache-dir (_dispatch_planned installs none for serve), so each
@@ -907,11 +888,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_block_bytes=args.max_block_bytes,
         client_rate=args.client_rate,
         client_burst=args.client_burst,
-        engine_workers=(
-            args.engine_workers
-            if args.engine_workers is not None
-            else DEFAULT_ENGINE_WORKERS
-        ),
     )
 
 

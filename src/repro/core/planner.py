@@ -108,13 +108,6 @@ def active_config() -> PlannerConfig | None:
     return getattr(_TLS, "config", None)
 
 
-def activate_config(config: PlannerConfig | None) -> PlannerConfig | None:
-    """Install ``config`` on this thread; returns the previous one."""
-    previous = active_config()
-    _TLS.config = config
-    return previous
-
-
 @contextmanager
 def planner_config(
     config: PlannerConfig | None = None, /, **options: Any
@@ -125,11 +118,12 @@ def planner_config(
     :class:`PlannerConfig`.  The previous config is restored on exit.
     """
     cfg = config if config is not None else PlannerConfig(**options)
-    previous = activate_config(cfg)
+    previous = active_config()
+    _TLS.config = cfg
     try:
         yield cfg
     finally:
-        activate_config(previous)
+        _TLS.config = previous
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ documented but, before this package, unenforced:
   fingerprints and checkpoint resume silently break (rule ``RL002``).
 * **Fork safety** — functions handed to a process or thread pool must
   not mutate module-level globals: the mutation is invisible to a forked
-  parent, or races the other threads (rule ``RL003``).
+  parent, or races the other threads (rule ``RL003``; no such pool
+  worker exists in ``src/`` today, so the rule guards future ones).
 * **Atomic IO** — cache entries and checkpoints must be written with the
   temp-file + :func:`os.replace` idiom so readers never observe a torn
   file (rule ``RL004``).

@@ -5,10 +5,11 @@ module-level global (rebinding via ``global``, ``NAME[...] = …``, or an
 in-place method like ``.put()``), a forked process worker writes to its
 own copy-on-write page, so the parent and sibling workers never see it;
 a thread worker races every other thread on the shared value.  Either
-way, a result would depend on worker scheduling.  The repository's one
-pool entry point today is :func:`repro.pipeline.runner._in_config`, the
-stage task of ``repro pipeline run --jobs``; the rule keeps it, and any
-worker added later, side-effect free.
+way, a result would depend on worker scheduling.  No function in
+``src/`` is handed to such a pool today: ``repro serve`` reaches its
+engine pool through ``run_in_executor``, an executor boundary whose
+shared state the ``guarded-by`` locks of RL007 cover instead.  The rule
+keeps any pool worker added later side-effect free.
 
 The checker finds worker entry points syntactically — any function
 handed to ``.submit(f, …)``, ``.apply_async(f, …)`` or

@@ -3,11 +3,10 @@
 :func:`run_pipeline` walks the DAG in topological order, computes every
 selected stage's content fingerprint from live input files + params +
 upstream output digests, and executes **only** stages whose fingerprint
-has no entry in the artifact store.  Independent stages fan out across a
-thread pool when ``workers > 1``; each pool task runs under the caller's
+has no entry in the artifact store.  Stages run one at a time on the
+caller's thread, so each one sees the caller's
 :class:`~repro.core.planner.PlannerConfig` (the disk cache and streaming
-budget the global CLI flags install), which a new thread would not
-otherwise see.
+budget the global CLI flags install).
 
 :func:`pipeline_status` answers "what would run, and why" without
 executing anything: per stage it reports ``fresh`` / ``stale`` /
@@ -28,12 +27,10 @@ from __future__ import annotations
 
 import pathlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro import obs
-from repro.core.planner import PlannerConfig, activate_config, active_config
 from repro.pipeline.dag import Pipeline, PipelineError
 from repro.pipeline.fingerprint import identity_digest, stage_identity
 from repro.pipeline.stage import Stage, StageContext
@@ -107,125 +104,72 @@ def _execute_stage(
     return entry, elapsed
 
 
-def _in_config(
-    config: PlannerConfig | None, fn: Callable[..., Any], *args: Any
-) -> Any:
-    """Call ``fn(*args)`` with ``config`` active on this thread."""
-    previous = activate_config(config)
-    try:
-        return fn(*args)
-    finally:
-        activate_config(previous)
-
-
 def run_pipeline(
     pipeline: Pipeline,
     store: ArtifactStore,
     stages: Iterable[str] | None = None,
-    workers: int = 1,
     force: bool = False,
 ) -> PipelineRun:
     """Execute ``pipeline`` incrementally against ``store``.
 
     ``stages`` selects a subset (plus its transitive dependencies —
     fresh ancestors are served from the store, not re-run); ``None``
-    runs everything.  ``workers > 1`` executes independent stages of the
-    same depth concurrently in threads.  ``force`` re-executes every
-    selected stage even when its entry exists (the new outputs still
-    land at the same fingerprints, so an unchanged pipeline stays
-    bit-identical).
+    runs everything.  Stages run in topological order on the caller's
+    thread.  ``force`` re-executes every selected stage even when its
+    entry exists (the new outputs still land at the same fingerprints,
+    so an unchanged pipeline stays bit-identical).
 
     Returns a :class:`PipelineRun` with per-stage reports in topological
     order and the payloads of every selected stage's artifacts.
     """
     selected = pipeline.closure(stages)
-    workers = max(1, int(workers))
     workspace = store.directory / "workspace"
 
     entries: dict[str, StoreEntry] = {}
-    reports: dict[str, StageReport] = {}
+    reports: list[StageReport] = []
     artifacts: dict[str, Any] = {}
 
-    def _visit(stage: Stage) -> None:
-        upstream: dict[str, str] = {}
-        visible: dict[str, Any] = {}
-        for dep in stage.deps:
-            dep_entry = entries[dep]
-            upstream.update(dep_entry.output_digests)
-            visible.update(dep_entry.outputs)
-        identity = stage_identity(stage, upstream)
-        fingerprint = identity_digest(identity)
-        entry = None if force else store.get(identity)
-        if entry is not None:
-            # a warm rerun writes nothing: rename only a pointer that moved
-            if store.latest_identity(stage.name) != identity:
-                store.record_latest(stage.name, identity)
-            obs.add("pipeline.stage_runs.cached")
-            report = StageReport(
-                name=stage.name,
-                action="cached",
-                fingerprint=fingerprint,
-                seconds=0.0,
-                output_digests=entry.output_digests,
-            )
-        else:
-            obs.add("pipeline.stage_runs.executed")
-            entry, elapsed = _execute_stage(
-                stage, identity, fingerprint, store, workspace, visible
-            )
-            obs.observe("pipeline.stage_seconds", elapsed)
-            report = StageReport(
-                name=stage.name,
-                action="executed",
-                fingerprint=fingerprint,
-                seconds=elapsed,
-                output_digests=entry.output_digests,
-            )
-        entries[stage.name] = entry
-        reports[stage.name] = report
-
-    with obs.span(
-        "pipeline_run", stages=len(selected), workers=workers, force=force
-    ):
+    with obs.span("pipeline_run", stages=len(selected), force=force):
         obs.add("pipeline.runs")
-        pending = [pipeline.stage(n) for n in pipeline.order if n in selected]
-        if workers == 1:
-            for stage in pending:
-                _visit(stage)
-        else:
-            # planner configs are thread-local: carry the caller's into
-            # every pool task
-            config = active_config()
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                done: set[str] = set()
-                while pending:
-                    wave = [
-                        s
-                        for s in pending
-                        if all(d in done for d in s.deps if d in selected)
-                    ]
-                    if not wave:  # unreachable: order is topological
-                        raise PipelineError(
-                            "pipeline wave deadlock; remaining: "
-                            f"{[s.name for s in pending]}"
-                        )
-                    futures = [
-                        pool.submit(_in_config, config, _visit, s)
-                        for s in wave
-                    ]
-                    for future in futures:
-                        future.result()
-                    done.update(s.name for s in wave)
-                    pending = [s for s in pending if s.name not in done]
-
         for name in pipeline.order:
-            if name in entries:
-                artifacts.update(entries[name].outputs)
+            if name not in selected:
+                continue
+            stage = pipeline.stage(name)
+            upstream: dict[str, str] = {}
+            visible: dict[str, Any] = {}
+            for dep in stage.deps:
+                dep_entry = entries[dep]
+                upstream.update(dep_entry.output_digests)
+                visible.update(dep_entry.outputs)
+            identity = stage_identity(stage, upstream)
+            fingerprint = identity_digest(identity)
+            entry = None if force else store.get(identity)
+            if entry is not None:
+                # a warm rerun writes nothing: rename only a moved pointer
+                if store.latest_identity(stage.name) != identity:
+                    store.record_latest(stage.name, identity)
+                obs.add("pipeline.stage_runs.cached")
+                action, elapsed = "cached", 0.0
+            else:
+                obs.add("pipeline.stage_runs.executed")
+                entry, elapsed = _execute_stage(
+                    stage, identity, fingerprint, store, workspace, visible
+                )
+                obs.observe("pipeline.stage_seconds", elapsed)
+                action = "executed"
+            entries[stage.name] = entry
+            artifacts.update(entry.outputs)
+            reports.append(
+                StageReport(
+                    name=stage.name,
+                    action=action,
+                    fingerprint=fingerprint,
+                    seconds=elapsed,
+                    output_digests=entry.output_digests,
+                )
+            )
 
-    ordered = tuple(
-        reports[name] for name in pipeline.order if name in reports
-    )
-    return PipelineRun(reports=ordered, artifacts=artifacts)
+    return PipelineRun(reports=tuple(reports), artifacts=artifacts)
 
 
 def _diff_reasons(

@@ -71,12 +71,12 @@ DEFAULT_RESPONSE_CACHE_SIZE = 256
 #: Default graceful-drain budget (seconds).
 DEFAULT_DRAIN_TIMEOUT_S = 30.0
 
-#: Default size of the bounded engine worker pool.  Engine evaluations
-#: are memory-hungry (block-streamed spaces); running one per accepted
+#: Size of the bounded engine worker pool.  Engine evaluations are
+#: memory-hungry (block-streamed spaces); running one per accepted
 #: request on the loop's default executor lets a burst multiply peak
 #: memory by the thread cap, so computes go through a dedicated small
 #: pool instead and excess flights queue.
-DEFAULT_ENGINE_WORKERS = 4
+_ENGINE_WORKERS = 4
 
 _JSON = "application/json"
 _TEXT = "text/plain; version=0.0.4"  # Prometheus exposition content type
@@ -157,11 +157,8 @@ class ServeApp:
         max_block_bytes: int | None = None,
         client_rate: float = 0.0,
         client_burst: float | None = None,
-        engine_workers: int = DEFAULT_ENGINE_WORKERS,
     ) -> None:
         """Wire the caching tiers, limiter and metrics for one service."""
-        if engine_workers < 1:
-            raise ValueError("engine_workers must be >= 1")
         # The streaming budget engine calls run under (the branch taken
         # is recorded in /metrics as plan_selected_total{strategy=…}).
         # It carries no disk cache: result_cache below is the service's
@@ -198,7 +195,7 @@ class ServeApp:
         # ROADMAP "serve under load" item): back-pressure comes from the
         # pool queue instead of unbounded thread growth.
         self._engine_pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=engine_workers, thread_name_prefix="repro-engine"
+            max_workers=_ENGINE_WORKERS, thread_name_prefix="repro-engine"
         )
 
     # -- request entry --------------------------------------------------
@@ -328,8 +325,8 @@ class ServeApp:
             return model
 
     def _space_for(self, query: Query) -> ConfigSpace:
-        # _model_for populates _specs from concurrent pool threads; an
-        # unlocked read here can miss the entry a parallel first-build
+        # _model_for populates _specs from the engine pool's threads; an
+        # unlocked read here can miss the entry a concurrent first-build
         # for the same cluster just wrote.
         with self._model_lock:
             spec = self._specs[query.cluster]
@@ -695,7 +692,6 @@ def run_server(
     max_block_bytes: int | None = None,
     client_rate: float = 0.0,
     client_burst: float | None = None,
-    engine_workers: int = DEFAULT_ENGINE_WORKERS,
 ) -> int:
     """Run the prediction service until SIGINT/SIGTERM; returns exit code.
 
@@ -703,9 +699,7 @@ def run_server(
     ``client_rate``/``client_burst`` the per-client buckets (0 disables
     either layer); ``cache_dir`` enables the persistent
     :class:`ResultCache` warm tier; ``max_block_bytes`` is the
-    per-query streaming budget (``repro --max-block-bytes``);
-    ``engine_workers`` sizes the bounded thread pool engine evaluations
-    run in (``repro serve --engine-workers``).
+    per-query streaming budget (``repro --max-block-bytes``).
     """
     app = ServeApp(
         cache_dir=cache_dir,
@@ -714,7 +708,6 @@ def run_server(
         max_block_bytes=max_block_bytes,
         client_rate=client_rate,
         client_burst=client_burst,
-        engine_workers=engine_workers,
     )
     try:
         return asyncio.run(_serve_forever(app, host, port))

@@ -9,7 +9,12 @@ import threading
 import pytest
 
 from repro import obs
-from repro.serve.app import ServeApp, canonical_json, start_server
+from repro.serve.app import (
+    _ENGINE_WORKERS,
+    ServeApp,
+    canonical_json,
+    start_server,
+)
 
 #: A deliberately tiny space so each engine evaluation is milliseconds.
 TINY_SPACE = {"nodes": [1, 2], "cores": [2, 4], "frequencies_ghz": [1.8]}
@@ -465,16 +470,10 @@ def test_client_limit_disabled_by_default(make_app):
 # ---------------------------------------------------------------------
 
 
-def test_engine_workers_must_be_positive():
-    with pytest.raises(ValueError, match="engine_workers"):
-        ServeApp(engine_workers=0)
-
-
 def test_engine_pool_bounds_concurrent_evaluations(make_app):
     async def run():
-        app = make_app(engine_workers=1)
+        app = make_app()
         release = threading.Event()
-        started = threading.Event()
         state = threading.Lock()
         active = 0
         peak = 0
@@ -484,34 +483,38 @@ def test_engine_pool_bounds_concurrent_evaluations(make_app):
             with state:
                 active += 1
                 peak = max(peak, active)
-            started.set()
             assert release.wait(timeout=30), "release signal never arrived"
             with state:
                 active -= 1
 
         app.pre_compute = hold
-        # Distinct queries (different queueing models) so they do not
-        # coalesce: both want an engine evaluation at once.
+        # Distinct queries (different node counts) so they do not
+        # coalesce: one more flight than the pool has threads.
+        flights = _ENGINE_WORKERS + 1
         tasks = [
             asyncio.create_task(
-                app.handle("POST", "/v1/evaluate_space", _body(queueing=q))
+                app.handle(
+                    "POST",
+                    "/v1/evaluate_space",
+                    _body(space={**TINY_SPACE, "nodes": [1, n]}),
+                )
             )
-            for q in ("none", "mg1")
+            for n in range(2, 2 + flights)
         ]
         deadline = asyncio.get_running_loop().time() + 30
-        while not started.is_set():
+        while peak < _ENGINE_WORKERS:
             assert asyncio.get_running_loop().time() < deadline, (
-                "no evaluation reached the engine pool"
+                "the engine pool never filled"
             )
             await asyncio.sleep(0.001)
-        # let the second flight reach the pool queue, then open the gate
+        # let the extra flight reach the pool queue, then open the gate
         await asyncio.sleep(0.01)
         release.set()
         results = await asyncio.gather(*tasks)
 
-        assert [status for status, _, _ in results] == [200, 200]
-        assert app.engine_calls == 2
-        assert peak == 1, "a 1-worker pool must serialize evaluations"
+        assert [status for status, _, _ in results] == [200] * flights
+        assert app.engine_calls == flights
+        assert peak == _ENGINE_WORKERS, "the pool must bound evaluations"
         app.close()
 
     asyncio.run(run())
